@@ -492,16 +492,8 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None, out=None) -> i
     target_dir = out_dir or config.output_dir or "."
     os.makedirs(target_dir, exist_ok=True)
     mesh = meshing.generate_mesh(config.domain, config.target_h)
-    taus = config.taus()
-    if float(taus[-1]) * mesh.h_max > enclosure.RESOLUTION_GATE:
-        raise ProbeResolutionError(
-            f"tau_max = {taus[-1]:g} unresolved at target_h = {config.target_h:g} "
-            f"(h_max = {mesh.h_max:.4g}); largest admissible tau is "
-            f"{enclosure.max_admissible_tau(mesh):.4g}",
-            tau_max_admissible=enclosure.max_admissible_tau(mesh),
-        )
     result = enclosure.sweep(
-        config.scene, mesh, config.n_directions, taus, delta=config.delta
+        config.scene, mesh, config.n_directions, config.taus(), delta=config.delta
     )
 
     paths = {

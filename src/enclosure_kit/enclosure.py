@@ -17,9 +17,6 @@ direction; intersecting the fitted half planes encloses the convex hull.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +36,6 @@ from .solver import CoeffField, DirichletSystem, assemble, identity_field, reduc
 # probe oscillation must be resolved: tau * h_max <= RESOLUTION_GATE
 RESOLUTION_GATE = 0.5
 UNDERFLOW_FLOOR = 1e-300
-
-THREADS_ENV = "ENCLOSURE_KIT_THREADS"
 
 NO_INCLUSION_FLAG = "no-inclusion"
 NO_SIGNAL_FLAG = "no-signal"
@@ -91,13 +86,6 @@ def cgo_trace(mesh: Mesh, probe: Probe) -> np.ndarray:
     """
     _require_resolved(mesh, probe.tau)
     return probe.evaluate(mesh.vertices[mesh.boundary_vertices])
-
-
-@dataclass(frozen=True)
-class IndicatorSample:
-    log_abs: float
-    sign: int
-    underflow: bool
 
 
 @dataclass(frozen=True)
@@ -166,8 +154,9 @@ class IndicatorEngine:
     exponentially small; solving the background problem numerically and
     subtracting pairings would bury it under discretization pollution.
 
-    One factorized system serves every direction and tau.  Solves are
-    serialized internally, so the engine may be shared across threads.
+    One factorized system serves every direction and tau.  Only the nodes
+    of inclusion triangles carry rows or columns of dA, so probes are
+    evaluated on those nodes alone.
     """
 
     def __init__(self, reduced: ReducedScene, mesh: Mesh):
@@ -181,7 +170,11 @@ class IndicatorEngine:
             self.mesh, CoeffField(coeff.matrices - background.matrices)
         )
         self.delta_k.eliminate_zeros()
-        self._lock = threading.Lock()
+        self.nodes = np.unique(self.delta_k.indices)
+        # columns of dA scatter the probe to a nodal source; rows gather the
+        # pairing
+        self._delta_cols = self.delta_k[:, self.nodes]
+        self._delta_rows = self.delta_k[self.nodes]
 
     @classmethod
     def from_fields(
@@ -204,16 +197,15 @@ class IndicatorEngine:
         taus = np.asarray(taus, dtype=float)
         _require_resolved(self.mesh, float(np.max(taus)))
         shift = self.mesh.domain.support(frame.theta)
+        points = self.mesh.vertices[self.nodes]
         u0 = np.column_stack(
-            [
-                Probe(frame, float(tau), shift).evaluate(self.mesh.vertices)
-                for tau in taus
-            ]
+            [Probe(frame, float(tau), shift).evaluate(points) for tau in taus]
         )
-        source = self.delta_k @ u0
-        with self._lock:
-            w = self.system_inclusion.solve_interior(-source)
-        return np.einsum("vk,vk->k", np.conj(u0), source + self.delta_k @ w)
+        source = self._delta_cols @ u0
+        w = self.system_inclusion.solve_interior(-source)
+        return np.einsum(
+            "vk,vk->k", np.conj(u0), source[self.nodes] + self._delta_rows @ w
+        )
 
     def curve(self, frame: DirectionFrame, taus, t: float = 0.0) -> IndicatorCurve:
         """Indicator curve at height t; one factorization pair for all tau."""
@@ -227,34 +219,6 @@ class IndicatorEngine:
         return IndicatorCurve(
             frame=frame, t=t, taus=taus, log_abs=log_abs, signs=signs, underflow=under
         )
-
-
-def indicator(
-    reduced: ReducedScene, mesh: Mesh, probe: Probe, t: float
-) -> IndicatorSample:
-    """Single indicator sample log|I(tau, t)| and its sign.
-
-    Builds fresh factorizations; use IndicatorEngine to evaluate many
-    probes on one scene.
-    """
-    engine = IndicatorEngine(reduced, mesh)
-    curve = engine.curve(probe.frame, [probe.tau], t)
-    return IndicatorSample(
-        log_abs=float(curve.log_abs[0]),
-        sign=int(curve.signs[0]),
-        underflow=bool(curve.underflow[0]),
-    )
-
-
-def indicator_curve(
-    reduced: ReducedScene,
-    mesh: Mesh,
-    frame: DirectionFrame,
-    taus,
-    t: float = 0.0,
-) -> IndicatorCurve:
-    """Indicator samples over a tau sweep (fresh factorizations)."""
-    return IndicatorEngine(reduced, mesh).curve(frame, taus, t)
 
 
 def estimate_support(curve: IndicatorCurve) -> SupportEstimate:
@@ -323,39 +287,29 @@ class SweepResult:
         return max(errs) if errs else None
 
 
-def worker_count(n_tasks: int, threads: int | None = None) -> int:
-    if threads is None:
-        env = os.environ.get(THREADS_ENV)
-        threads = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(threads, n_tasks))
-
-
 def sweep(
     scene: MaterialScene,
     mesh: Mesh,
     n_directions: int,
     taus,
     delta: float | None = None,
-    threads: int | None = None,
 ) -> SweepResult:
     """Estimate the support function on uniform directions and enclose.
 
     Directions whose regime report has an empty applicable set are flagged
-    "outside proven regime" but still estimated.  Per-direction work runs
-    on a thread pool capped by ENCLOSURE_KIT_THREADS (results are
-    aggregated in direction order, so output is deterministic).
+    "outside proven regime" but still estimated.  An underresolved tau
+    raises ProbeResolutionError before any factorization.
     """
     if n_directions < 8:
         raise InvalidParameterError("sweep needs at least 8 directions")
     taus = np.asarray(taus, dtype=float)
     if len(taus) < 8:
         raise InvalidParameterError("sweep needs at least 8 tau samples")
+    _require_resolved(mesh, float(np.max(taus)))
     reduced = materials.reduce_scene(scene)
     engine = IndicatorEngine(reduced, mesh)
-    frames = geometry.uniform_directions(n_directions)
-
-    def one_direction(k: int) -> DirectionResult:
-        frame = frames[k]
+    results = []
+    for k, frame in enumerate(geometry.uniform_directions(n_directions)):
         curve = engine.curve(frame, taus, t=0.0)
         flags: list[str] = []
         h_exact = None
@@ -382,17 +336,16 @@ def sweep(
         except EstimationError:
             estimate = None
             flags.append(NO_SIGNAL_FLAG)
-        return DirectionResult(
-            index=k,
-            frame=frame,
-            curve=curve,
-            estimate=estimate,
-            report=report,
-            flags=tuple(flags),
+        results.append(
+            DirectionResult(
+                index=k,
+                frame=frame,
+                curve=curve,
+                estimate=estimate,
+                report=report,
+                flags=tuple(flags),
+            )
         )
-
-    with ThreadPoolExecutor(max_workers=worker_count(n_directions, threads)) as pool:
-        results = list(pool.map(one_direction, range(n_directions)))
 
     estimated = [(d.frame, d.estimate.h_hat) for d in results if d.estimate is not None]
     hull = None

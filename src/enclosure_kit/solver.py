@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InterfaceError, InvalidParameterError, MeshError, SolveError
-from .materials import MaterialScene, ReducedScene, reduce_scene
+from .materials import MaterialScene, ReducedScene
 from .meshing import Mesh
 
 RESIDUAL_TOL = 1e-10
@@ -125,8 +125,8 @@ class DirichletSolution:
 class DirichletSystem:
     """Assembled and factorized Dirichlet problem for one coefficient field.
 
-    The factorization is immutable and may serve concurrent solves; each
-    solve owns its right-hand side.
+    Every solve reuses the one factorization and passes through the same
+    residual check.
     """
 
     def __init__(self, mesh: Mesh, coeff: CoeffField):
@@ -143,6 +143,44 @@ class DirichletSystem:
         except RuntimeError as exc:
             raise SolveError(f"factorization failed: {exc}") from exc
 
+    def _solve_checked(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve K_II x = rhs column by column under the residual contract.
+
+        Returns x and the relative residual of each column.  Raises
+        SolveError if any column misses RESIDUAL_TOL after one step of
+        iterative refinement.
+        """
+        x = self._lu.solve(rhs)
+        rel = self._relative_residual(x, rhs)
+        if np.any(rel > RESIDUAL_TOL):
+            x = x + self._lu.solve(rhs - self.K_ii @ x)
+            rel = self._relative_residual(x, rhs)
+            worst = float(np.max(rel))
+            if worst > RESIDUAL_TOL:
+                raise SolveError(
+                    f"interior residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}",
+                    residual=worst,
+                )
+        return x, rel
+
+    def _relative_residual(self, u_i: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        res = np.linalg.norm(self.K_ii @ u_i - rhs, axis=0)
+        scale = np.linalg.norm(rhs, axis=0)
+        return np.where(scale > 0.0, res / np.where(scale > 0.0, scale, 1.0), res)
+
+    def _solve_traces(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nodal solutions and relative residuals for a trace or a batch of
+        traces, one per column."""
+        if f.shape[0] != len(self.boundary):
+            raise InterfaceError(
+                f"trace has {f.shape[0]} values, boundary has {len(self.boundary)}"
+            )
+        u_i, rel = self._solve_checked(-(self.K_ib @ f))
+        u = np.zeros((self.mesh.num_vertices,) + f.shape[1:], dtype=complex)
+        u[self.interior] = u_i
+        u[self.boundary] = f
+        return u, rel
+
     def solve_many(self, traces: np.ndarray) -> np.ndarray:
         """Solve for a batch of boundary traces, one per column.
 
@@ -150,44 +188,13 @@ class DirichletSystem:
         if any column misses the interior residual contract after one step
         of iterative refinement.
         """
-        f = np.asarray(traces, dtype=complex)
-        squeeze = f.ndim == 1
-        if squeeze:
-            f = f[:, None]
-        if f.shape[0] != len(self.boundary):
-            raise InterfaceError(
-                f"trace has {f.shape[0]} values, boundary has {len(self.boundary)}"
-            )
-        rhs = -(self.K_ib @ f)
-        u_i = self._lu.solve(rhs)
-        rel = self._relative_residual(u_i, rhs)
-        if np.any(rel > RESIDUAL_TOL):
-            u_i = u_i + self._lu.solve(rhs - self.K_ii @ u_i)
-            rel = self._relative_residual(u_i, rhs)
-            worst = float(np.max(rel))
-            if worst > RESIDUAL_TOL:
-                raise SolveError(
-                    f"interior residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}",
-                    residual=worst,
-                )
-        u = np.zeros((self.mesh.num_vertices, f.shape[1]), dtype=complex)
-        u[self.interior] = u_i
-        u[self.boundary] = f
-        return u[:, 0] if squeeze else u
-
-    def _relative_residual(self, u_i: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        res = np.linalg.norm(self.K_ii @ u_i - rhs, axis=0)
-        scale = np.linalg.norm(rhs, axis=0)
-        return np.where(scale > 0.0, res / np.where(scale > 0.0, scale, 1.0), res)
+        return self._solve_traces(np.asarray(traces, dtype=complex))[0]
 
     def solve_dirichlet(self, f: np.ndarray) -> DirichletSolution:
         """Solve one Dirichlet problem; trace values follow boundary order."""
-        u = self.solve_many(np.asarray(f, dtype=complex))
-        rhs = -(self.K_ib @ np.asarray(f, dtype=complex)[:, None])
-        rel = float(self._relative_residual(u[self.interior][:, None], rhs)[0])
-        return DirichletSolution(
-            u=u, f=np.asarray(f, dtype=complex), residual_norm=rel, mesh=self.mesh
-        )
+        f = np.asarray(f, dtype=complex)
+        u, rel = self._solve_traces(f)
+        return DirichletSolution(u=u, f=f, residual_norm=float(rel), mesh=self.mesh)
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K_II x_I = rhs_I with zero boundary values.
@@ -197,25 +204,11 @@ class DirichletSystem:
         inclusion-scattering corrections.
         """
         r = np.asarray(rhs, dtype=complex)
-        squeeze = r.ndim == 1
-        if squeeze:
-            r = r[:, None]
         if r.shape[0] != self.mesh.num_vertices:
             raise InterfaceError("interior right-hand side must be a full nodal vector")
-        x_i = self._lu.solve(r[self.interior])
-        rel = self._relative_residual(x_i, r[self.interior])
-        if np.any(rel > RESIDUAL_TOL):
-            x_i = x_i + self._lu.solve(r[self.interior] - self.K_ii @ x_i)
-            rel = self._relative_residual(x_i, r[self.interior])
-            worst = float(np.max(rel))
-            if worst > RESIDUAL_TOL:
-                raise SolveError(
-                    f"interior residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}",
-                    residual=worst,
-                )
-        x = np.zeros((self.mesh.num_vertices, r.shape[1]), dtype=complex)
-        x[self.interior] = x_i
-        return x[:, 0] if squeeze else x
+        x = np.zeros(r.shape, dtype=complex)
+        x[self.interior] = self._solve_checked(r[self.interior])[0]
+        return x
 
 
 def dtn_pairing(
@@ -246,22 +239,6 @@ def dtn_pairing(
     return complex(np.dot(v, system.K @ solution.u))
 
 
-def dtn_difference_pairing(
-    reduced: ReducedScene | MaterialScene, mesh: Mesh, f: np.ndarray, g: np.ndarray
-) -> complex:
-    """<(Lambda_reduced - Lambda_background) f, g> on one mesh.
-
-    Accepts either a reduced scene or an original scene (reduced on the
-    fly).  Builds both systems fresh; hot paths should hold a pair of
-    DirichletSystem objects instead.
-    """
-    if isinstance(reduced, MaterialScene):
-        reduced = reduce_scene(reduced)
-    sys_red = DirichletSystem(mesh, reduced_field(mesh, reduced))
-    sys_bg = DirichletSystem(mesh, identity_field(mesh))
-    return difference_pairing(sys_red, sys_bg, f, g)
-
-
 def difference_pairing(
     sys_a: DirichletSystem, sys_b: DirichletSystem, f: np.ndarray, g: np.ndarray
 ) -> complex:
@@ -289,36 +266,3 @@ def dump_solution_csv(solution: DirichletSolution, path: str) -> str:
         for i, val in enumerate(solution.u):
             f.write(f"{i},{val.real:.17g},{val.imag:.17g}\r\n")
     return path
-
-
-# ---------------------------------------------------------------------------
-# discretization-error norms (edge-midpoint quadrature, exact for P1 * P1)
-
-
-def p1_l2_error(mesh: Mesh, u: np.ndarray, exact) -> float:
-    """L2 distance between a nodal P1 field and a callable exact solution."""
-    p = mesh.vertices[mesh.triangles]
-    vals = u[mesh.triangles]
-    areas = mesh.triangle_areas()
-    total = 0.0
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        mid = 0.5 * (p[:, i] + p[:, j])
-        uh = 0.5 * (vals[:, i] + vals[:, j])
-        diff = uh - exact(mid)
-        total += np.sum(areas / 3.0 * np.abs(diff) ** 2)
-    return float(np.sqrt(total))
-
-
-def p1_h1_seminorm_error(mesh: Mesh, u: np.ndarray, exact_grad) -> float:
-    """H1 seminorm distance using the exact gradient at centroids."""
-    p = mesh.vertices[mesh.triangles]
-    x, y = p[:, :, 0], p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    areas = mesh.triangle_areas()
-    vals = u[mesh.triangles]
-    gx = np.sum(vals * b, axis=1) / (2.0 * areas)
-    gy = np.sum(vals * c, axis=1) / (2.0 * areas)
-    gex = exact_grad(mesh.centroids())
-    err2 = np.abs(gx - gex[:, 0]) ** 2 + np.abs(gy - gex[:, 1]) ** 2
-    return float(np.sqrt(np.sum(areas * err2)))

@@ -39,11 +39,11 @@ from enclosure_kit.solver import (
     DirichletSystem,
     dtn_pairing,
     identity_field,
-    p1_l2_error,
     reduced_field,
     scene_field,
 )
 from conftest import REFERENCE_TAUS, reference_scene
+from error_norms import p1_l2_error
 from scene_factory import random_definite_scene, random_valid_scene
 
 ACCEPTANCE_RESULTS = []

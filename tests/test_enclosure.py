@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from enclosure_kit import solver
 from enclosure_kit.enclosure import (
@@ -10,7 +11,6 @@ from enclosure_kit.enclosure import (
     Probe,
     cgo_trace,
     estimate_support,
-    indicator,
     max_admissible_tau,
     sweep,
 )
@@ -112,13 +112,46 @@ class TestIndicator:
         assert np.all(curve.underflow)
         assert np.all(curve.signs == 0)
 
-    def test_one_shot_indicator_matches_engine(self, coarse_mesh, coarse_engine):
-        probe = Probe.for_domain(UnitDisk(), E1, 4.0)
-        sample = indicator(coarse_engine.reduced, coarse_mesh, probe, t=0.2)
-        curve = coarse_engine.curve(E1, np.array([4.0]), t=0.2)
-        assert sample.log_abs == pytest.approx(float(curve.log_abs[0]), abs=1e-12)
-        assert sample.sign == int(curve.signs[0])
-        assert not sample.underflow
+    @pytest.mark.parametrize(
+        "scene, original",
+        [
+            (centered_scene(1.0), False),
+            (centered_scene(-0.5), False),
+            (centered_scene(1.0), True),
+            (MaterialScene(sigma0=1.0, eps0=1.0, omega=1.0), False),
+        ],
+        ids=["positive", "negative", "original", "empty"],
+    )
+    def test_inclusion_nodes_match_all_vertex_formula(self, coarse_mesh, scene, original):
+        if original:
+            c0 = complex(scene.sigma0, -scene.omega * scene.eps0)
+            background = solver.CoeffField(
+                np.broadcast_to(c0 * np.eye(2), (coarse_mesh.num_triangles, 2, 2)).copy()
+            )
+            engine = IndicatorEngine.from_fields(
+                coarse_mesh, solver.scene_field(coarse_mesh, scene), background
+            )
+        else:
+            engine = IndicatorEngine(reduce_scene(scene), coarse_mesh)
+        frame = DirectionFrame.from_angle(0.7)
+        # probes on every vertex, contracted over every row
+        shift = coarse_mesh.domain.support(frame.theta)
+        u0 = np.column_stack(
+            [
+                Probe(frame, float(tau), shift).evaluate(coarse_mesh.vertices)
+                for tau in COARSE_TAUS
+            ]
+        )
+        source = engine.delta_k @ u0
+        w = engine.system_inclusion.solve_interior(-source)
+        reference = np.einsum("vk,vk->k", np.conj(u0), source + engine.delta_k @ w)
+
+        raw = engine.pairing_differences(frame, COARSE_TAUS)
+        if not scene.inclusions:
+            assert np.all(raw == 0.0) and np.all(reference == 0.0)
+        else:
+            assert np.all(np.abs(reference) > 0.0)
+            assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
 
     def test_positive_jump_has_positive_sign(self, coarse_engine):
         curve = coarse_engine.curve(E1, COARSE_TAUS)
@@ -133,8 +166,11 @@ class TestIndicator:
         probe = Probe.for_domain(UnitDisk(), E1, tau)
         trace = cgo_trace(coarse_mesh, probe)
         raw_engine = engine.pairing_differences(E1, np.array([tau]))[0]
-        raw_def = solver.dtn_difference_pairing(
-            red, coarse_mesh, trace, np.conj(trace)
+        raw_def = solver.difference_pairing(
+            solver.DirichletSystem(coarse_mesh, solver.reduced_field(coarse_mesh, red)),
+            solver.DirichletSystem(coarse_mesh, solver.identity_field(coarse_mesh)),
+            trace,
+            np.conj(trace),
         )
         assert raw_def == pytest.approx(raw_engine, rel=5e-2)
 
@@ -339,18 +375,14 @@ class TestSweep:
         with pytest.raises(InvalidParameterError):
             sweep(centered_scene(), coarse_mesh, 4, COARSE_TAUS)
 
-    def test_thread_cap_env(self, coarse_mesh, monkeypatch):
-        monkeypatch.setenv("ENCLOSURE_KIT_THREADS", "2")
-        result = sweep(centered_scene(), coarse_mesh, 8, COARSE_TAUS)
-        assert result.detected
+    def test_unresolved_tau_raises_before_factorization(self, coarse_mesh, monkeypatch):
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factorized for an unresolved sweep")
 
-    def test_thread_count_does_not_change_results(self, coarse_mesh):
-        scene = centered_scene()
-        r1 = sweep(scene, coarse_mesh, 8, COARSE_TAUS, threads=1)
-        r4 = sweep(scene, coarse_mesh, 8, COARSE_TAUS, threads=4)
-        h1 = [d.estimate.h_hat for d in r1.directions]
-        h4 = [d.estimate.h_hat for d in r4.directions]
-        assert h1 == h4
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
+        taus = np.linspace(2.0, 1.01 * max_admissible_tau(coarse_mesh), 9)
+        with pytest.raises(ProbeResolutionError):
+            sweep(centered_scene(), coarse_mesh, 8, taus)
 
     def test_rectangle_domain_probing(self):
         from enclosure_kit.geometry import Rectangle
