@@ -106,6 +106,8 @@ def _require_keys(d: dict, path: str, required: tuple, optional: tuple = ()) -> 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -262,12 +264,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer literal too long to convert
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(raw)
 
 
@@ -487,10 +491,18 @@ def _write_hull_csv(path: str, hull) -> None:
                 w.writerow([i, _fmt(x), _fmt(y)])
 
 
+def _output_dir(config: ScenarioConfig, out_dir: str | None) -> str:
+    target_dir = out_dir or config.output_dir or "."
+    try:
+        os.makedirs(target_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {target_dir}: {exc}") from exc
+    return target_dir
+
+
 def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    target_dir = out_dir or config.output_dir or "."
-    os.makedirs(target_dir, exist_ok=True)
+    target_dir = _output_dir(config, out_dir)
     mesh = meshing.generate_mesh(config.domain, config.target_h)
     result = enclosure.sweep(
         config.scene, mesh, config.n_directions, config.taus(), delta=config.delta
@@ -535,8 +547,8 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None, out=None) -> i
 
 def cmd_mesh_dump(config: ScenarioConfig, out_dir: str | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    target_dir = out_dir or config.output_dir or "."
     mesh = meshing.generate_mesh(config.domain, config.target_h)
+    target_dir = _output_dir(config, out_dir)
     vpath, tpath = meshing.dump_mesh_csv(mesh, target_dir)
     stats = meshing.mesh_stats(mesh)
     print(

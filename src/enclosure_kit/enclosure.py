@@ -17,7 +17,7 @@ direction; intersecting the fitted half planes encloses the convex hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     ProbeResolutionError,
 )
 from .geometry import ConvexPolygon, DirectionFrame
-from .materials import MaterialScene, ReducedScene, RegimeReport
+from .materials import MaterialScene, ReducedScene
 from .meshing import Mesh
 from .solver import CoeffField, DirichletSystem, assemble, identity_field, reduced_field
 
@@ -135,7 +135,6 @@ class SupportEstimate:
     frame: DirectionFrame
     h_hat: float
     fit_residual: float
-    tau_window: tuple[float, float]
     h_exact: float | None = None
 
 
@@ -154,43 +153,23 @@ class IndicatorEngine:
     exponentially small; solving the background problem numerically and
     subtracting pairings would bury it under discretization pollution.
 
-    One factorized system serves every direction and tau.  Only the nodes
-    of inclusion triangles carry rows or columns of dA, so probes are
-    evaluated on those nodes alone.
+    dA is assembled once and kept only as ``contrast``, its block on
+    ``nodes``, the vertices of inclusion triangles: it has no entries in
+    any other row or column.  Probes are evaluated on those nodes alone,
+    and the source, the scattered right-hand side and the pairing all come
+    from that block.  One factorized system serves every direction and tau.
     """
 
     def __init__(self, reduced: ReducedScene, mesh: Mesh):
         self.mesh = mesh
-        self.reduced = reduced
-        self._init_fields(reduced_field(mesh, reduced), identity_field(mesh))
-
-    def _init_fields(self, coeff: CoeffField, background: CoeffField) -> None:
-        self.system_inclusion = DirichletSystem(self.mesh, coeff)
-        self.delta_k = assemble(
-            self.mesh, CoeffField(coeff.matrices - background.matrices)
+        coeff = reduced_field(mesh, reduced)
+        self.system_inclusion = DirichletSystem(mesh, coeff)
+        delta_k = assemble(
+            mesh, CoeffField(coeff.matrices - identity_field(mesh).matrices)
         )
-        self.delta_k.eliminate_zeros()
-        self.nodes = np.unique(self.delta_k.indices)
-        # columns of dA scatter the probe to a nodal source; rows gather the
-        # pairing
-        self._delta_cols = self.delta_k[:, self.nodes]
-        self._delta_rows = self.delta_k[self.nodes]
-
-    @classmethod
-    def from_fields(
-        cls, mesh: Mesh, coeff: CoeffField, background: CoeffField
-    ) -> "IndicatorEngine":
-        """Engine over explicit coefficient fields.
-
-        ``background`` must be a constant multiple of the identity so the
-        probe stays an exact background solution; used e.g. to run the
-        pipeline in original variables before rescaling.
-        """
-        engine = cls.__new__(cls)
-        engine.mesh = mesh
-        engine.reduced = None
-        engine._init_fields(coeff, background)
-        return engine
+        delta_k.eliminate_zeros()
+        self.nodes = np.unique(delta_k.indices)
+        self.contrast = delta_k[self.nodes][:, self.nodes]
 
     def pairing_differences(self, frame: DirectionFrame, taus) -> np.ndarray:
         """Complex pairing differences for the shifted probes, one per tau."""
@@ -201,23 +180,29 @@ class IndicatorEngine:
         u0 = np.column_stack(
             [Probe(frame, float(tau), shift).evaluate(points) for tau in taus]
         )
-        source = self._delta_cols @ u0
-        w = self.system_inclusion.solve_interior(-source)
+        source = self.contrast @ u0
+        rhs = np.zeros((self.mesh.num_vertices, len(taus)), dtype=complex)
+        rhs[self.nodes] = -source
+        w = self.system_inclusion.solve_interior(rhs)
+        # two separate products: contrast @ (u0 + w) would round differently
         return np.einsum(
-            "vk,vk->k", np.conj(u0), source[self.nodes] + self._delta_rows @ w
+            "vk,vk->k", np.conj(u0), source + self.contrast @ w[self.nodes]
         )
 
-    def curve(self, frame: DirectionFrame, taus, t: float = 0.0) -> IndicatorCurve:
-        """Indicator curve at height t; one factorization pair for all tau."""
+    def curve(self, frame: DirectionFrame, taus) -> IndicatorCurve:
+        """Indicator curve at height t = 0; one factorization for all tau.
+
+        Other heights come from ``IndicatorCurve.shifted``.
+        """
         taus = np.asarray(taus, dtype=float)
         j = np.real(self.pairing_differences(frame, taus))
         shift = self.mesh.domain.support(frame.theta)
         under = np.abs(j) < UNDERFLOW_FLOOR
         safe = np.where(under, 1.0, np.abs(j))
-        log_abs = np.where(under, 0.0, np.log(safe) + 2.0 * taus * (shift - t))
+        log_abs = np.where(under, 0.0, np.log(safe) + 2.0 * taus * shift)
         signs = np.where(under, 0, np.sign(j)).astype(int)
         return IndicatorCurve(
-            frame=frame, t=t, taus=taus, log_abs=log_abs, signs=signs, underflow=under
+            frame=frame, t=0.0, taus=taus, log_abs=log_abs, signs=signs, underflow=under
         )
 
 
@@ -245,12 +230,7 @@ def estimate_support(curve: IndicatorCurve) -> SupportEstimate:
     xm, ym = np.mean(x), np.mean(y)
     slope = float(np.sum((x - xm) * (y - ym)) / np.sum((x - xm) ** 2))
     resid = float(np.sqrt(np.mean((y - (ym + slope * (x - xm))) ** 2)))
-    return SupportEstimate(
-        frame=curve.frame,
-        h_hat=slope,
-        fit_residual=resid,
-        tau_window=(float(x[0] / 2.0), float(x[-1] / 2.0)),
-    )
+    return SupportEstimate(frame=curve.frame, h_hat=slope, fit_residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +243,6 @@ class DirectionResult:
     frame: DirectionFrame
     curve: IndicatorCurve
     estimate: SupportEstimate | None
-    report: RegimeReport | None
     flags: tuple[str, ...]
 
 
@@ -310,10 +289,9 @@ def sweep(
     engine = IndicatorEngine(reduced, mesh)
     results = []
     for k, frame in enumerate(geometry.uniform_directions(n_directions)):
-        curve = engine.curve(frame, taus, t=0.0)
+        curve = engine.curve(frame, taus)
         flags: list[str] = []
         h_exact = None
-        report = None
         if not scene.inclusions:
             flags.append(NO_INCLUSION_FLAG)
         else:
@@ -326,13 +304,7 @@ def sweep(
         try:
             estimate = estimate_support(curve)
             if h_exact is not None:
-                estimate = SupportEstimate(
-                    frame=estimate.frame,
-                    h_hat=estimate.h_hat,
-                    fit_residual=estimate.fit_residual,
-                    tau_window=estimate.tau_window,
-                    h_exact=h_exact,
-                )
+                estimate = replace(estimate, h_exact=h_exact)
         except EstimationError:
             estimate = None
             flags.append(NO_SIGNAL_FLAG)
@@ -342,7 +314,6 @@ def sweep(
                 frame=frame,
                 curve=curve,
                 estimate=estimate,
-                report=report,
                 flags=tuple(flags),
             )
         )

@@ -232,17 +232,6 @@ def reduce_scene(scene: MaterialScene) -> ReducedScene:
     return ReducedScene(omega=scene.omega, inclusions=tuple(reduced))
 
 
-def dtn_rescale(value: complex, sigma0: float, eps0: float, omega: float) -> complex:
-    """Convert a boundary pairing of the original problem to the reduced one.
-
-    Divides by the background constant sigma0 - i*omega*eps0.
-    """
-    divisor = complex(sigma0, -omega * eps0)
-    if divisor == 0.0:
-        raise DegenerateBackgroundError("sigma0 - i*omega*eps0 vanishes")
-    return complex(value) / divisor
-
-
 # ---------------------------------------------------------------------------
 # jump classification and the derived constants
 

@@ -260,7 +260,7 @@ def test_criterion_06_enclosure_recovery(tmp_path_factory):
 
 def test_criterion_07_trichotomy(reference_engine):
     h = 0.5  # support of the reference disk along +x
-    curve = reference_engine.curve(E1, REFERENCE_TAUS, t=0.0)
+    curve = reference_engine.curve(E1, REFERENCE_TAUS)
     upper = REFERENCE_TAUS >= 0.5 * (REFERENCE_TAUS[0] + REFERENCE_TAUS[-1])
     decreasing = np.diff(curve.shifted(h + 0.2).log_abs[upper])
     increasing = np.diff(curve.shifted(h - 0.2).log_abs[upper])

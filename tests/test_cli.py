@@ -82,6 +82,39 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"broken\.json:3"):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            json.dumps(CHEAP_SWEEP).encode() + b" \xe9",
+            json.dumps(CHEAP_SWEEP).replace('"omega": 1.0', '"omega": 1' + "0" * 5000).encode(),
+        ],
+        ids=["not-utf8", "overlong-integer"],
+    )
+    def test_unreadable_config_rejected(self, tmp_path, capsys, blob):
+        path = tmp_path / "bad.json"
+        path.write_bytes(blob)
+        assert cli.main(["reduce", "--config", str(path)]) == 1
+        assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"]
+    )
+    def test_non_finite_omega_rejected(self, tmp_path, capsys, value):
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["material"]["omega"] = value
+        path = write_config(tmp_path, raw)
+        assert cli.main(["reduce", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert "material.omega" in captured.err
+        assert captured.out == ""
+
+    def test_nan_center_rejected_with_path(self, tmp_path, capsys):
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["material"]["inclusions"][0]["shape"]["center"] = [float("nan"), 0.0]
+        path = write_config(tmp_path, raw)
+        assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "material.inclusions[0].shape.center[0]" in capsys.readouterr().err
+
 
 class TestReduceCommand:
     def test_prints_reduced_tensors(self, tmp_path, capsys):
@@ -244,6 +277,14 @@ class TestMeshDumpCommand:
 class TestUsage:
     def test_missing_config_file(self, capsys):
         assert cli.main(["reduce", "--config", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize("command", ["sweep", "mesh-dump"])
+    def test_out_naming_a_file(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, CHEAP_SWEEP)
+        occupied = tmp_path / "occupied"
+        occupied.write_text("")
+        assert cli.main([command, "--config", path, "--out", str(occupied)]) == 1
+        assert "occupied" in capsys.readouterr().err
 
     def test_unknown_command(self):
         assert cli.main(["frobnicate"]) == 1

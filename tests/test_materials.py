@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from enclosure_kit.errors import (
-    DegenerateBackgroundError,
     EmptySlabError,
     InvalidConstantsError,
     InvalidParameterError,
@@ -20,7 +19,6 @@ from enclosure_kit.materials import (
     check_jump,
     classify_regime,
     default_slab_delta,
-    dtn_rescale,
     eig_sym2,
     frequency_bound,
     opnorm_sym2,
@@ -134,21 +132,6 @@ class TestReduce:
                 eps_tilde = (scene.sigma0 * eps - scene.eps0 * sig) / denom
                 assert np.max(np.abs(sig_tilde - np.eye(2) - rinc.a.as_array())) < 1e-12
                 assert np.max(np.abs(eps_tilde - rinc.b.as_array())) < 1e-12
-
-
-class TestDtnRescale:
-    def test_self_quotient(self):
-        assert dtn_rescale(complex(1.0, -1.0), 1.0, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_zero(self):
-        assert dtn_rescale(0.0, 1.0, 1.0, 1.0) == 0.0
-
-    def test_complex_division(self):
-        assert dtn_rescale(2.0, 1.0, 1.0, 1.0) == pytest.approx(1.0 + 1.0j)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateBackgroundError):
-            dtn_rescale(1.0, 0.0, 1.0, 0.0)
 
 
 class TestSceneValidation:

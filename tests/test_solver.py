@@ -16,7 +16,6 @@ from enclosure_kit.solver import (
     identity_field,
     reduced_field,
     scene_field,
-    dump_solution_csv,
 )
 from error_norms import p1_h1_seminorm_error, p1_l2_error
 
@@ -165,6 +164,14 @@ class TestDirichletSolve:
         ]
         assert np.linalg.norm(res) / np.linalg.norm(rhs) < 1e-10
 
+    def test_nan_right_hand_side_raises(self, square_mesh):
+        # a NaN residual must fail the contract, not compare as within it
+        system = DirichletSystem(square_mesh, identity_field(square_mesh))
+        rhs = np.zeros(square_mesh.num_vertices, dtype=complex)
+        rhs[square_mesh.interior_vertices()[0]] = np.nan
+        with pytest.raises(SolveError):
+            system.solve_interior(rhs)
+
 
 class TestDtnPairing:
     def test_constant_data_gives_zero(self, square_mesh):
@@ -283,11 +290,3 @@ class TestDifferencePairing:
             p_red = dtn_pairing(sys_red, sol_red, g)
             assert abs(p_orig - c0 * p_red) <= 1e-10 * abs(p_orig)
 
-
-def test_solution_dump(tmp_path, square_mesh):
-    system = DirichletSystem(square_mesh, identity_field(square_mesh))
-    sol = system.solve_dirichlet(boundary_coordinate(square_mesh))
-    path = dump_solution_csv(sol, str(tmp_path / "u.csv"))
-    lines = open(path).read().splitlines()
-    assert lines[0] == "id,re_u,im_u"
-    assert len(lines) == square_mesh.num_vertices + 1
