@@ -8,7 +8,9 @@ indicator function.  Companion algebra verifies jump conditions, the
 frequency bound, and the background reduction identities.
 """
 
-from . import cli, enclosure, geometry, materials, meshing, solver
+# cli is left out so that ``python -m enclosure_kit.cli`` runs without
+# runpy's double-import warning; ``from enclosure_kit import cli`` loads it.
+from . import enclosure, geometry, materials, meshing, solver
 from .errors import EnclosureKitError
 
 __version__ = "0.1.0"

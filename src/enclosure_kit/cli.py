@@ -5,8 +5,8 @@ parameters, and the mesh resolution.  Symmetric matrices are entered as
 three numbers [a11, a12, a22]; full 2x2 entry is rejected so asymmetry can
 never slip in.  Unknown keys anywhere are errors.
 
-Exit codes: 0 success, 1 usage/config error, 2 no applicable recovery
-regime, 3 numerical failure.
+Every failure is an ``EnclosureKitError``; ``main`` prints it and exits
+with the error's ``exit_code`` (see ``errors``).
 """
 
 from __future__ import annotations
@@ -22,19 +22,13 @@ import numpy as np
 
 from . import enclosure, materials, meshing
 from .errors import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_REGIME_EMPTY,
     ConfigError,
-    DegenerateBackgroundError,
-    DegenerateHullError,
     EmptySlabError,
-    EstimationError,
-    InterfaceError,
-    InvalidConstantsError,
-    InvalidDirectionError,
+    EnclosureKitError,
     InvalidParameterError,
-    MeshError,
-    ProbeResolutionError,
-    ResourceLimitError,
-    SolveError,
 )
 from .geometry import (
     AxisEllipse,
@@ -48,28 +42,6 @@ from .geometry import (
     uniform_directions,
 )
 from .materials import Inclusion, MaterialScene, SymMat2
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_REGIME_EMPTY = 2
-EXIT_NUMERICAL = 3
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    InvalidParameterError,
-    InvalidDirectionError,
-    InvalidConstantsError,
-    ProbeResolutionError,
-    ResourceLimitError,
-)
-_NUMERICAL_ERRORS = (
-    SolveError,
-    DegenerateHullError,
-    EstimationError,
-    MeshError,
-    DegenerateBackgroundError,
-    InterfaceError,
-)
 
 
 @dataclass(frozen=True)
@@ -339,7 +311,7 @@ def scenario_path(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# formatting helpers
+# formatting and output helpers
 
 
 def _fmt(x: float) -> str:
@@ -350,24 +322,42 @@ def _sym_text(m: SymMat2) -> str:
     return f"[[{m.a11:.6g}, {m.a12:.6g}], [{m.a12:.6g}, {m.a22:.6g}]]"
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write one RFC 4180 CSV file: the header line, then every row."""
+    try:
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _output_dir(config: ScenarioConfig, out_dir: str | None) -> str:
+    target_dir = out_dir or config.output_dir or "."
+    try:
+        os.makedirs(target_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {target_dir}: {exc}") from exc
+    return target_dir
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_reduce(config: ScenarioConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_reduce(config: ScenarioConfig) -> int:
     scene = config.scene
     reduced = materials.reduce_scene(scene)
     print(
         f"background: sigma0 = {scene.sigma0:.6g}, eps0 = {scene.eps0:.6g}, "
-        f"omega = {scene.omega:.6g}",
-        file=out,
+        f"omega = {scene.omega:.6g}"
     )
     blob: dict = {"inclusions": [], "P": None, "Q": None}
     for k, inc in enumerate(reduced.inclusions):
-        print(f"inclusion {k}:", file=out)
-        print(f"  a = {_sym_text(inc.a)}", file=out)
-        print(f"  b = {_sym_text(inc.b)}", file=out)
+        print(f"inclusion {k}:")
+        print(f"  a = {_sym_text(inc.a)}")
+        print(f"  b = {_sym_text(inc.b)}")
         blob["inclusions"].append(
             {
                 "a": [inc.a.a11, inc.a.a12, inc.a.a22],
@@ -375,22 +365,16 @@ def cmd_reduce(config: ScenarioConfig, out=None) -> int:
             }
         )
     if not reduced.inclusions:
-        print("no inclusions: reduced scene is the identity background", file=out)
+        print("no inclusions: reduced scene is the identity background")
     if scene.sigma0 > 0.0 and scene.omega > 0.0:
         p, q = materials.pq_weights(scene.sigma0, scene.eps0, scene.omega)
-        print(f"convex weights: P = {p:.6g}, Q = {q:.6g}", file=out)
+        print(f"convex weights: P = {p:.6g}, Q = {q:.6g}")
         blob["P"], blob["Q"] = p, q
-    print(json.dumps(blob), file=out)
+    print(json.dumps(blob))
     return EXIT_OK
 
 
-def cmd_check(
-    config: ScenarioConfig,
-    direction: int | None = None,
-    as_json: bool = False,
-    out=None,
-) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_check(config: ScenarioConfig, direction: int | None = None, as_json: bool = False) -> int:
     frames = uniform_directions(config.n_directions)
     if direction is not None:
         if not 0 <= direction < config.n_directions:
@@ -407,7 +391,7 @@ def cmd_check(
         try:
             report = materials.classify_regime(config.scene, frames[k], config.delta)
         except EmptySlabError as exc:
-            print(f"direction {k}: empty slab: {exc}", file=out)
+            print(f"direction {k}: empty slab: {exc}")
             all_ok = False
             continue
         if as_json:
@@ -419,95 +403,80 @@ def cmd_check(
                 }
             )
         else:
-            print(f"--- direction {k} ---", file=out)
-            print(report.to_text(), file=out)
+            print(f"--- direction {k} ---")
+            print(report.to_text())
         if not report.applicable:
             all_ok = False
     if as_json:
-        print(json.dumps(json_rows, indent=2), file=out)
+        print(json.dumps(json_rows, indent=2))
     if not all_ok:
-        print("regime check: some directions have no applicable guarantee", file=out)
+        print("regime check: some directions have no applicable guarantee")
     return EXIT_OK if all_ok else EXIT_REGIME_EMPTY
 
 
 def _write_indicator_csv(path: str, result: enclosure.SweepResult) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["direction_index", "theta_x", "theta_y", "tau", "t", "log_abs_I", "sign"])
-        for d in result.directions:
-            tx, ty = d.frame.theta
-            for i in range(len(d.curve)):
-                log_field = "" if d.curve.underflow[i] else _fmt(float(d.curve.log_abs[i]))
-                w.writerow(
-                    [
-                        d.index,
-                        _fmt(tx),
-                        _fmt(ty),
-                        _fmt(float(d.curve.taus[i])),
-                        _fmt(float(d.curve.t)),
-                        log_field,
-                        int(d.curve.signs[i]),
-                    ]
-                )
+    _write_csv(
+        path,
+        ["direction_index", "theta_x", "theta_y", "tau", "t", "log_abs_I", "sign"],
+        (
+            [
+                d.index,
+                _fmt(d.frame.theta[0]),
+                _fmt(d.frame.theta[1]),
+                _fmt(float(d.curve.taus[i])),
+                _fmt(float(d.curve.t)),
+                "" if d.curve.underflow[i] else _fmt(float(d.curve.log_abs[i])),
+                int(d.curve.signs[i]),
+            ]
+            for d in result.directions
+            for i in range(len(d.curve))
+        ),
+    )
 
 
 def _write_support_csv(path: str, result: enclosure.SweepResult) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            [
-                "direction_index",
-                "theta_x",
-                "theta_y",
-                "h_hat",
-                "h_exact",
-                "fit_residual",
-                "regime_flags",
-            ]
-        )
-        for d in result.directions:
-            tx, ty = d.frame.theta
-            est = d.estimate
-            h_exact = est.h_exact if est is not None else None
-            w.writerow(
-                [
-                    d.index,
-                    _fmt(tx),
-                    _fmt(ty),
-                    _fmt(est.h_hat) if est is not None else "",
-                    _fmt(h_exact) if h_exact is not None else "",
-                    _fmt(est.fit_residual) if est is not None else "",
-                    ";".join(d.flags),
-                ]
-            )
+    def row(d: enclosure.DirectionResult) -> list:
+        est = d.estimate
+        h_exact = est.h_exact if est is not None else None
+        return [
+            d.index,
+            _fmt(d.frame.theta[0]),
+            _fmt(d.frame.theta[1]),
+            _fmt(est.h_hat) if est is not None else "",
+            _fmt(h_exact) if h_exact is not None else "",
+            _fmt(est.fit_residual) if est is not None else "",
+            ";".join(d.flags),
+        ]
+
+    _write_csv(
+        path,
+        [
+            "direction_index",
+            "theta_x",
+            "theta_y",
+            "h_hat",
+            "h_exact",
+            "fit_residual",
+            "regime_flags",
+        ],
+        map(row, result.directions),
+    )
 
 
 def _write_hull_csv(path: str, hull) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["vertex", "x", "y"])
-        if hull is not None:
-            for i, (x, y) in enumerate(hull.vertices):
-                w.writerow([i, _fmt(x), _fmt(y)])
+    vertices = hull.vertices if hull is not None else []
+    _write_csv(
+        path, ["vertex", "x", "y"], ([i, _fmt(x), _fmt(y)] for i, (x, y) in enumerate(vertices))
+    )
 
 
-def _output_dir(config: ScenarioConfig, out_dir: str | None) -> str:
-    target_dir = out_dir or config.output_dir or "."
-    try:
-        os.makedirs(target_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {target_dir}: {exc}") from exc
-    return target_dir
-
-
-def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    target_dir = _output_dir(config, out_dir)
+def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None) -> int:
     mesh = meshing.generate_mesh(config.domain, config.target_h)
     result = enclosure.sweep(
         config.scene, mesh, config.n_directions, config.taus(), delta=config.delta
     )
 
+    target_dir = _output_dir(config, out_dir)
     paths = {
         "indicator": os.path.join(target_dir, "indicator.csv"),
         "support": os.path.join(target_dir, "support.csv"),
@@ -517,11 +486,11 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None, out=None) -> i
     _write_support_csv(paths["support"], result)
     _write_hull_csv(paths["hull"], result.hull)
 
-    print(f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, h_max = {mesh.h_max:.4g}", file=out)
+    print(f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, h_max = {mesh.h_max:.4g}")
     for d in result.directions:
         tx, ty = d.frame.theta
         if d.estimate is None:
-            print(f"direction {d.index:3d} ({tx:+.3f},{ty:+.3f}): {';'.join(d.flags)}", file=out)
+            print(f"direction {d.index:3d} ({tx:+.3f},{ty:+.3f}): {';'.join(d.flags)}")
         else:
             line = (
                 f"direction {d.index:3d} ({tx:+.3f},{ty:+.3f}): "
@@ -533,30 +502,37 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None, out=None) -> i
                     f", err = {abs(d.estimate.h_hat - d.estimate.h_exact):.5f}"
                 )
             line += f"  [{';'.join(d.flags)}]"
-            print(line, file=out)
-    print(result.message, file=out)
+            print(line)
+    print(result.message)
     max_err = result.max_support_error()
     if max_err is not None:
-        print(f"max |h_hat - h_exact| = {max_err:.5f}", file=out)
-    print(f"wrote {paths['indicator']}, {paths['support']}, {paths['hull']}", file=out)
+        print(f"max |h_hat - h_exact| = {max_err:.5f}")
+    print(f"wrote {paths['indicator']}, {paths['support']}, {paths['hull']}")
     if result.hull_error is not None:
-        print(f"hull not recovered: {result.hull_error}", file=out)
+        print(f"hull not recovered: {result.hull_error}")
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def cmd_mesh_dump(config: ScenarioConfig, out_dir: str | None = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_mesh_dump(config: ScenarioConfig, out_dir: str | None = None) -> int:
     mesh = meshing.generate_mesh(config.domain, config.target_h)
-    target_dir = _output_dir(config, out_dir)
-    vpath, tpath = meshing.dump_mesh_csv(mesh, target_dir)
     stats = meshing.mesh_stats(mesh)
+    target_dir = _output_dir(config, out_dir)
+    vpath = os.path.join(target_dir, "vertices.csv")
+    tpath = os.path.join(target_dir, "triangles.csv")
+    _write_csv(
+        vpath,
+        ["id", "x", "y"],
+        ([i, _fmt(x), _fmt(y)] for i, (x, y) in enumerate(mesh.vertices.tolist())),
+    )
+    _write_csv(
+        tpath, ["id", "v0", "v1", "v2"], ([i, *t] for i, t in enumerate(mesh.triangles.tolist()))
+    )
     print(
         f"mesh: {stats.num_vertices} vertices, {stats.num_triangles} triangles, "
-        f"h_max = {stats.h_max:.4g}, min angle = {stats.min_angle_deg:.2f} deg",
-        file=out,
+        f"h_max = {stats.h_max:.4g}, min angle = {stats.min_angle_deg:.2f} deg"
     )
-    print(f"wrote {vpath}, {tpath}", file=out)
+    print(f"wrote {vpath}, {tpath}")
     return EXIT_OK
 
 
@@ -603,16 +579,14 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(config, out_dir=args.out)
         return cmd_mesh_dump(config, out_dir=args.out)
-    except _CONFIG_ERRORS as exc:
+    except EnclosureKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EmptySlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME_EMPTY
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return exc.exit_code
 
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -1,20 +1,40 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the CLI exit code of each.
+
+Exit codes: 0 success, 1 usage/config error, 2 no applicable recovery
+regime, 3 numerical failure.
+"""
+
+EXIT_OK = 0
+EXIT_CONFIG = 1
+EXIT_REGIME_EMPTY = 2
+EXIT_NUMERICAL = 3
 
 
 class EnclosureKitError(Exception):
-    """Base class for every error raised by enclosure_kit."""
+    """Base class for every error raised by enclosure_kit.
+
+    ``exit_code`` is the CLI exit status the error ends a command with.
+    """
+
+    exit_code = EXIT_NUMERICAL
 
 
 class InvalidDirectionError(EnclosureKitError, ValueError):
     """A direction vector is not unit length within tolerance."""
 
+    exit_code = EXIT_CONFIG
+
 
 class InvalidParameterError(EnclosureKitError, ValueError):
     """A scalar or structural argument violates its contract."""
 
+    exit_code = EXIT_CONFIG
+
 
 class InvalidConstantsError(EnclosureKitError, ValueError):
     """Nonpositive constants passed where positive ones are required."""
+
+    exit_code = EXIT_CONFIG
 
 
 class DegenerateBackgroundError(EnclosureKitError, ValueError):
@@ -24,6 +44,8 @@ class DegenerateBackgroundError(EnclosureKitError, ValueError):
 class EmptySlabError(EnclosureKitError):
     """The probing slab contains no inclusion material."""
 
+    exit_code = EXIT_REGIME_EMPTY
+
 
 class DegenerateHullError(EnclosureKitError):
     """Half-plane intersection is empty or unbounded."""
@@ -31,6 +53,8 @@ class DegenerateHullError(EnclosureKitError):
 
 class ResourceLimitError(EnclosureKitError):
     """Requested discretization exceeds the configured element budget."""
+
+    exit_code = EXIT_CONFIG
 
 
 class MeshError(EnclosureKitError):
@@ -58,6 +82,8 @@ class ProbeResolutionError(EnclosureKitError):
     ``tau_max_admissible`` is the largest tau the mesh supports.
     """
 
+    exit_code = EXIT_CONFIG
+
     def __init__(self, message: str, tau_max_admissible: float | None = None):
         super().__init__(message)
         self.tau_max_admissible = tau_max_admissible
@@ -69,3 +95,5 @@ class EstimationError(EnclosureKitError):
 
 class ConfigError(EnclosureKitError, ValueError):
     """Scenario configuration failed to parse or validate."""
+
+    exit_code = EXIT_CONFIG

@@ -117,10 +117,6 @@ class Disk:
         t = _check_unit(theta)
         return float(np.dot(self.center, t) + self.radius)
 
-    def contains(self, x) -> bool:
-        p = _as_point(x)
-        return bool(np.hypot(*(p - self.center)) < self.radius)
-
     def contains_mask(self, points: np.ndarray) -> np.ndarray:
         d = points - np.asarray(self.center)
         return d[:, 0] ** 2 + d[:, 1] ** 2 < self.radius**2
@@ -147,14 +143,6 @@ class AxisEllipse:
         return float(
             np.dot(self.center, t)
             + math.sqrt((self.semi_a * t[0]) ** 2 + (self.semi_b * t[1]) ** 2)
-        )
-
-    def contains(self, x) -> bool:
-        p = _as_point(x)
-        return bool(
-            ((p[0] - self.center[0]) / self.semi_a) ** 2
-            + ((p[1] - self.center[1]) / self.semi_b) ** 2
-            < 1.0
         )
 
     def contains_mask(self, points: np.ndarray) -> np.ndarray:
@@ -191,10 +179,6 @@ class ConvexPolygon:
         t = _check_unit(theta)
         return float(np.max(self.vertex_array() @ t))
 
-    def contains(self, x) -> bool:
-        p = _as_point(x)
-        return bool(self.contains_mask(p[None, :])[0])
-
     def contains_mask(self, points: np.ndarray) -> np.ndarray:
         v = self.vertex_array()
         edges = np.roll(v, -1, axis=0) - v
@@ -227,7 +211,7 @@ def slab_contains(shape: Shape, frame: DirectionFrame, delta: float, x) -> bool:
     if not delta > 0.0:
         raise InvalidParameterError("slab thickness delta must be > 0")
     p = _as_point(x)
-    if not shape.contains(p):
+    if not shape.contains_mask(p[None, :])[0]:
         return False
     h = shape.support(frame.theta)
     proj = float(np.dot(p, frame.theta))

@@ -87,11 +87,6 @@ class SymMat2:
 
     __rmul__ = __mul__
 
-    def quad(self, xi) -> float:
-        """Quadratic form xi . (M xi)."""
-        x, y = float(xi[0]), float(xi[1])
-        return self.a11 * x * x + 2.0 * self.a12 * x * y + self.a22 * y * y
-
 
 def eig_sym2(m: SymMat2) -> tuple[float, float]:
     """Closed-form eigenvalues of a 2x2 symmetric matrix, (min, max)."""

@@ -12,7 +12,6 @@ never meshed conformingly; materials are sampled at triangle centroids.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,19 +249,3 @@ def mesh_stats(mesh: Mesh) -> MeshStats:
         num_vertices=mesh.num_vertices,
         num_triangles=mesh.num_triangles,
     )
-
-
-def dump_mesh_csv(mesh: Mesh, out_dir: str) -> tuple[str, str]:
-    """Write vertices.csv (id,x,y) and triangles.csv (id,v0,v1,v2)."""
-    os.makedirs(out_dir, exist_ok=True)
-    vpath = os.path.join(out_dir, "vertices.csv")
-    tpath = os.path.join(out_dir, "triangles.csv")
-    with open(vpath, "w", newline="") as f:
-        f.write("id,x,y\r\n")
-        for i, (x, y) in enumerate(mesh.vertices):
-            f.write(f"{i},{x:.17g},{y:.17g}\r\n")
-    with open(tpath, "w", newline="") as f:
-        f.write("id,v0,v1,v2\r\n")
-        for i, (v0, v1, v2) in enumerate(mesh.triangles):
-            f.write(f"{i},{v0},{v1},{v2}\r\n")
-    return vpath, tpath

@@ -1,10 +1,13 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from enclosure_kit import cli
-from enclosure_kit.errors import ConfigError
+from enclosure_kit import cli, meshing
+from enclosure_kit.errors import ConfigError, EnclosureKitError
 
 CHEAP_SWEEP = {
     "domain": {"type": "unit_disk"},
@@ -26,10 +29,35 @@ CHEAP_SWEEP = {
 }
 
 
+# the exit-code table of README "Command line"
+README_EXIT_CODES = {
+    "EnclosureKitError": 3,
+    "ConfigError": 1,
+    "InvalidParameterError": 1,
+    "InvalidDirectionError": 1,
+    "InvalidConstantsError": 1,
+    "ProbeResolutionError": 1,
+    "ResourceLimitError": 1,
+    "EmptySlabError": 2,
+    "DegenerateBackgroundError": 3,
+    "DegenerateHullError": 3,
+    "MeshError": 3,
+    "SolveError": 3,
+    "InterfaceError": 3,
+    "EstimationError": 3,
+}
+
+
 def write_config(tmp_path, raw, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def error_classes(cls=EnclosureKitError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
 
 
 class TestConfigParsing:
@@ -269,9 +297,15 @@ class TestMeshDumpCommand:
         path = write_config(tmp_path, CHEAP_SWEEP)
         out_dir = tmp_path / "mesh"
         assert cli.main(["mesh-dump", "--config", path, "--out", str(out_dir)]) == 0
-        assert (out_dir / "vertices.csv").exists()
-        assert (out_dir / "triangles.csv").exists()
         assert "min angle" in capsys.readouterr().out
+        config = cli.load_config(path)
+        mesh = meshing.generate_mesh(config.domain, config.target_h)
+        vlines = (out_dir / "vertices.csv").read_text().splitlines()
+        tlines = (out_dir / "triangles.csv").read_text().splitlines()
+        assert len(vlines) == mesh.num_vertices + 1
+        assert len(tlines) == mesh.num_triangles + 1
+        assert vlines[0] == "id,x,y"
+        assert tlines[0] == "id,v0,v1,v2"
 
 
 class TestUsage:
@@ -285,6 +319,52 @@ class TestUsage:
         occupied.write_text("")
         assert cli.main([command, "--config", path, "--out", str(occupied)]) == 1
         assert "occupied" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name", [("sweep", "indicator.csv"), ("mesh-dump", "vertices.csv")]
+    )
+    def test_output_file_path_occupied(self, tmp_path, capsys, command, name):
+        path = write_config(tmp_path, CHEAP_SWEEP)
+        out_dir = tmp_path / "out"
+        (out_dir / name).mkdir(parents=True)
+        assert cli.main([command, "--config", path, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert str(out_dir / name) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sweep", "mesh-dump"])
+    def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys, command):
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["mesh"]["target_h"] = 1e-4
+        path = write_config(tmp_path, raw)
+        out_dir = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out_dir)]) == 1
+        assert "budget" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cls", list(error_classes()), ids=lambda c: c.__name__)
+    def test_error_exit_code(self, monkeypatch, capsys, cls):
+        def raise_it(path):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "load_config", raise_it)
+        assert cli.main(["reduce", "--config", "any.json"]) == README_EXIT_CODES[cls.__name__]
+        assert "error: boom" in capsys.readouterr().err
+
+    def test_module_runs_as_script(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["reduce", "--config", cli.scenario_path("positive_disk")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "enclosure_kit.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "inclusion 0" in proc.stdout
+        assert proc.stderr == ""
 
     def test_unknown_command(self):
         assert cli.main(["frobnicate"]) == 1

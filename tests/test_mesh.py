@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from enclosure_kit import cli
 from enclosure_kit.errors import InvalidParameterError, MeshError, ResourceLimitError
 from enclosure_kit.geometry import Rectangle, UnitDisk
-from enclosure_kit.meshing import Mesh, dump_mesh_csv, generate_mesh, mesh_stats
+from enclosure_kit.materials import MaterialScene
+from enclosure_kit.meshing import Mesh, generate_mesh, mesh_stats
 
 UNIT_SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -136,10 +138,21 @@ class TestStatsAndErrors:
 
 
 def test_mesh_dump(tmp_path):
+    config = cli.ScenarioConfig(
+        domain=UNIT_SQUARE,
+        scene=MaterialScene(sigma0=1.0, eps0=1.0, omega=1.0, inclusions=()),
+        n_directions=1,
+        tau_min=1.0,
+        tau_max=2.0,
+        n_tau=2,
+        delta=None,
+        target_h=0.5,
+        output_dir=None,
+    )
+    assert cli.cmd_mesh_dump(config, out_dir=str(tmp_path)) == cli.EXIT_OK
     mesh = generate_mesh(UNIT_SQUARE, 0.5)
-    vpath, tpath = dump_mesh_csv(mesh, str(tmp_path))
-    vlines = open(vpath).read().splitlines()
-    tlines = open(tpath).read().splitlines()
+    vlines = (tmp_path / "vertices.csv").read_text().splitlines()
+    tlines = (tmp_path / "triangles.csv").read_text().splitlines()
     assert len(vlines) == mesh.num_vertices + 1
     assert len(tlines) == mesh.num_triangles + 1
     assert vlines[0] == "id,x,y"
