@@ -31,7 +31,7 @@ from .errors import (
 from .geometry import ConvexPolygon, DirectionFrame
 from .materials import MaterialScene, ReducedScene
 from .meshing import Mesh
-from .solver import CoeffField, DirichletSystem, assemble, identity_field, reduced_field
+from .solver import DirichletSystem, assemble, reduced_field
 
 # probe oscillation must be resolved: tau * h_max <= RESOLUTION_GATE
 RESOLUTION_GATE = 0.5
@@ -153,23 +153,32 @@ class IndicatorEngine:
     exponentially small; solving the background problem numerically and
     subtracting pairings would bury it under discretization pollution.
 
-    dA is assembled once and kept only as ``contrast``, its block on
-    ``nodes``, the vertices of inclusion triangles: it has no entries in
-    any other row or column.  Probes are evaluated on those nodes alone,
-    and the source, the scattered right-hand side and the pairing all come
-    from that block.  One factorized system serves every direction and tau.
+    dA is assembled once, from the triangles around the inclusion only,
+    and kept as ``contrast``, its block on ``nodes``, the vertices of
+    inclusion triangles: it has no entries in any other row or column.
+    Probes are evaluated on those nodes alone, and the source, the
+    scattered right-hand side and the pairing all come from that block.
+    One factorized system serves every direction and tau.
     """
 
     def __init__(self, reduced: ReducedScene, mesh: Mesh):
         self.mesh = mesh
         coeff = reduced_field(mesh, reduced)
         self.system_inclusion = DirichletSystem(mesh, coeff)
-        delta_k = assemble(
-            mesh, CoeffField(coeff.matrices - identity_field(mesh).matrices)
-        )
+        d_a = coeff - np.eye(2)
+        touched = np.unique(mesh.triangles[np.any(d_a != 0.0, axis=(1, 2))])
+        # Every triangle with a vertex in `touched`, not the inclusion
+        # triangles alone: SciPy sums a row's duplicate entries after an
+        # unstable per-row sort, so every entry of the row, zeros included,
+        # sets the summation order.  With all of them the rows of the
+        # inclusion vertices match a whole-mesh assembly bit for bit.
+        near = np.any(np.isin(mesh.triangles, touched), axis=1)
+        verts, local = np.unique(mesh.triangles[near], return_inverse=True)
+        delta_k = assemble(mesh.vertices[verts], local.reshape(-1, 3), d_a[near])
         delta_k.eliminate_zeros()
-        self.nodes = np.unique(delta_k.indices)
-        self.contrast = delta_k[self.nodes][:, self.nodes]
+        nodes = np.unique(delta_k.indices)
+        self.nodes = verts[nodes]
+        self.contrast = delta_k[nodes][:, nodes]
 
     def pairing_differences(self, frame: DirectionFrame, taus) -> np.ndarray:
         """Complex pairing differences for the shifted probes, one per tau."""

@@ -58,7 +58,7 @@ class ResourceLimitError(EnclosureKitError):
 
 
 class MeshError(EnclosureKitError):
-    """Invalid mesh: degenerate triangle, broken boundary loop, or empty."""
+    """Invalid mesh: degenerate or misoriented triangle, or no triangles."""
 
 
 class SolveError(EnclosureKitError):

@@ -34,6 +34,8 @@ def _as_point(x) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.shape != (2,):
         raise InvalidParameterError(f"expected a 2-vector, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise InvalidParameterError(f"point {tuple(p)} has a non-finite coordinate")
     return p
 
 

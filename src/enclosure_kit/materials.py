@@ -114,7 +114,8 @@ class Inclusion:
 class MaterialScene:
     """Background constants plus inclusion perturbations.
 
-    Constraints enforced at construction: eps0 > 0; sigma0 >= 0; omega >= 0;
+    Constraints enforced at construction: every constant and tensor entry
+    is finite; eps0 > 0; sigma0 >= 0; omega >= 0;
     sigma0 and omega not both zero (the operator would not be coercive);
     on every inclusion eps0*I + beta stays positive definite and
     sigma0*I + alpha stays non-negative.  Inclusion shapes must be pairwise
@@ -128,6 +129,8 @@ class MaterialScene:
 
     def __post_init__(self):
         object.__setattr__(self, "inclusions", tuple(self.inclusions))
+        if not all(map(math.isfinite, (self.sigma0, self.eps0, self.omega))):
+            raise InvalidParameterError("sigma0, eps0 and omega must be finite")
         if not self.eps0 > 0.0:
             raise InvalidParameterError("background permittivity eps0 must be > 0")
         if self.sigma0 < 0.0:
@@ -139,6 +142,10 @@ class MaterialScene:
                 "sigma0 = 0 and omega = 0 leaves a degenerate operator"
             )
         for k, inc in enumerate(self.inclusions):
+            if not np.all(np.isfinite([inc.alpha.as_array(), inc.beta.as_array()])):
+                raise InvalidParameterError(
+                    f"inclusion {k}: alpha and beta must have finite entries"
+                )
             sig_min = eig_sym2(SymMat2.iso(self.sigma0) + inc.alpha)[0]
             if sig_min < -1e-12:
                 raise InvalidParameterError(

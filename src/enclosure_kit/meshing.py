@@ -30,7 +30,6 @@ class Mesh:
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counterclockwise
     boundary_vertices : indices of boundary vertices, ordered along the loop
-    boundary_edges : (nb, 2) consecutive index pairs forming the closed loop
     h_max : longest edge
     domain : the Domain that was meshed
 
@@ -41,7 +40,6 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_vertices: np.ndarray
-    boundary_edges: np.ndarray
     h_max: float
     domain: Domain
 
@@ -50,15 +48,7 @@ class Mesh:
             raise MeshError("mesh has no triangles")
         if np.min(self.triangle_areas()) <= 0.0:
             raise MeshError("mesh contains a degenerate or misoriented triangle")
-        loop = self.boundary_edges
-        if not np.all(loop[:, 1] == np.roll(loop[:, 0], -1)):
-            raise MeshError("boundary edges do not form a single closed loop")
-        for arr in (
-            self.vertices,
-            self.triangles,
-            self.boundary_vertices,
-            self.boundary_edges,
-        ):
+        for arr in (self.vertices, self.triangles, self.boundary_vertices):
             arr.setflags(write=False)
 
     @property
@@ -164,9 +154,8 @@ def _mesh_rectangle(domain: Rectangle, target_h: float) -> Mesh:
         + [vid(0, j) for j in range(ny, 0, -1)]
     )
     boundary_vertices = np.array(loop, dtype=np.int64)
-    boundary_edges = np.column_stack([boundary_vertices, np.roll(boundary_vertices, -1)])
     h_max = float(np.max(_edge_lengths(vertices, tris)))
-    return Mesh(vertices, tris, boundary_vertices, boundary_edges, h_max, domain)
+    return Mesh(vertices, tris, boundary_vertices, h_max, domain)
 
 
 def _ring_start(k: int) -> int:
@@ -219,9 +208,8 @@ def _mesh_unit_disk(domain: UnitDisk, target_h: float) -> Mesh:
     triangles = np.array(tris, dtype=np.int64)
 
     boundary_vertices = np.arange(_ring_start(n_rings), _ring_start(n_rings) + 6 * n_rings)
-    boundary_edges = np.column_stack([boundary_vertices, np.roll(boundary_vertices, -1)])
     h_max = float(np.max(_edge_lengths(vertices, triangles)))
-    return Mesh(vertices, triangles, boundary_vertices, boundary_edges, h_max, domain)
+    return Mesh(vertices, triangles, boundary_vertices, h_max, domain)
 
 
 @dataclass(frozen=True)

@@ -26,37 +26,24 @@ from .meshing import Mesh
 RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CoeffField:
-    """Per-triangle 2x2 complex coefficient matrices, shape (nt, 2, 2)."""
-
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=complex)
-        if m.ndim != 3 or m.shape[1:] != (2, 2):
-            raise InvalidParameterError("coefficient field must have shape (nt, 2, 2)")
-        object.__setattr__(self, "matrices", m)
-
-
-def identity_field(mesh: Mesh) -> CoeffField:
+def identity_field(mesh: Mesh) -> np.ndarray:
     """Identity conductivity, zero permittivity: the reference background."""
     m = np.zeros((mesh.num_triangles, 2, 2), dtype=complex)
     m[:, 0, 0] = 1.0
     m[:, 1, 1] = 1.0
-    return CoeffField(m)
+    return m
 
 
-def _fill_field(mesh: Mesh, base: np.ndarray, per_inclusion) -> CoeffField:
+def _fill_field(mesh: Mesh, base: np.ndarray, per_inclusion) -> np.ndarray:
     centroids = mesh.centroids()
     m = np.broadcast_to(base, (mesh.num_triangles, 2, 2)).copy()
     for shape, matrix in per_inclusion:
         mask = shape.contains_mask(centroids)
         m[mask] = matrix
-    return CoeffField(m)
+    return m
 
 
-def scene_field(mesh: Mesh, scene: MaterialScene) -> CoeffField:
+def scene_field(mesh: Mesh, scene: MaterialScene) -> np.ndarray:
     """sigma - i*omega*eps sampled at centroids, original variables."""
     base = (scene.sigma0 - 1j * scene.omega * scene.eps0) * np.eye(2)
     per_inc = []
@@ -66,7 +53,7 @@ def scene_field(mesh: Mesh, scene: MaterialScene) -> CoeffField:
     return _fill_field(mesh, base, per_inc)
 
 
-def reduced_field(mesh: Mesh, reduced: ReducedScene) -> CoeffField:
+def reduced_field(mesh: Mesh, reduced: ReducedScene) -> np.ndarray:
     """(I + a) - i*omega*b sampled at centroids, identity background."""
     base = np.eye(2, dtype=complex)
     per_inc = []
@@ -80,29 +67,33 @@ def reduced_field(mesh: Mesh, reduced: ReducedScene) -> CoeffField:
     return _fill_field(mesh, base, per_inc)
 
 
-def assemble(mesh: Mesh, coeff: CoeffField) -> sp.csr_matrix:
-    """Assemble the complex symmetric P1 stiffness matrix.
+def assemble(
+    vertices: np.ndarray, triangles: np.ndarray, coeff: np.ndarray
+) -> sp.csr_matrix:
+    """Assemble the complex symmetric P1 stiffness matrix of a triangle set.
 
-    K_ij = sum_T (A_T grad(phi_i)) . grad(phi_j) |T| over hat functions.
+    K_ij = sum_T (A_T grad(phi_i)) . grad(phi_j) |T| over hat functions,
+    with one 2x2 matrix A_T per row of ``triangles`` and one row and column
+    per vertex; an empty triangle set gives an empty sum.
     """
-    if len(coeff.matrices) != mesh.num_triangles:
-        raise InterfaceError("coefficient field does not match the mesh")
-    p = mesh.vertices[mesh.triangles]
+    coeff = np.asarray(coeff, dtype=complex)
+    if coeff.shape != (len(triangles), 2, 2):
+        raise InterfaceError("coefficient field does not match the triangles")
+    p = vertices[triangles]
     x, y = p[:, :, 0], p[:, :, 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     area2 = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]  # = 2*|T| for CCW triangles
-    if np.min(area2) <= 0.0:
+    if np.any(area2 <= 0.0):
         raise MeshError("assembly hit a degenerate or misoriented triangle")
     g = np.stack([b, c], axis=2)  # (nt, 3, 2); grad(phi_i) = g[:, i] / (2|T|)
-    k_local = np.einsum("tia,tab,tjb->tij", g, coeff.matrices, g) / (
+    k_local = np.einsum("tia,tab,tjb->tij", g, coeff, g) / (
         2.0 * area2[:, None, None]
     )
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
     k = sp.coo_matrix(
-        (k_local.ravel(), (rows, cols)),
-        shape=(mesh.num_vertices, mesh.num_vertices),
+        (k_local.ravel(), (rows, cols)), shape=(len(vertices), len(vertices))
     )
     return k.tocsr()
 
@@ -124,20 +115,21 @@ class DirichletSolution:
 class DirichletSystem:
     """Assembled and factorized Dirichlet problem for one coefficient field.
 
+    ``coeff`` holds one complex 2x2 matrix per triangle, shape (nt, 2, 2).
     Every solve reuses the one factorization and passes through the same
     residual check.
     """
 
-    def __init__(self, mesh: Mesh, coeff: CoeffField):
+    def __init__(self, mesh: Mesh, coeff: np.ndarray):
         self.mesh = mesh
-        self.K = assemble(mesh, coeff)
+        self.K = assemble(mesh.vertices, mesh.triangles, coeff)
         self.interior = mesh.interior_vertices()
         self.boundary = mesh.boundary_vertices
-        k_csc = self.K.tocsc()
-        self.K_ii = k_csc[self.interior][:, self.interior]
-        self.K_ib = k_csc[self.interior][:, self.boundary]
+        k_rows = self.K.tocsc()[self.interior]
+        self.K_ii = k_rows[:, self.interior]
+        self.K_ib = k_rows[:, self.boundary]
         try:
-            self._lu = spla.splu(self.K_ii.tocsc())
+            self._lu = spla.splu(self.K_ii)
         except RuntimeError as exc:
             raise SolveError(f"factorization failed: {exc}") from exc
 

@@ -234,14 +234,14 @@ def test_criterion_05_dtn_scaling_law():
     record(5, f"unreduced vs reduced pairing, worst relative {worst:.2e}")
 
 
-def read_support_csv(path):
-    rows = list(csv.DictReader(open(path)))
-    return rows
+def read_csv_rows(path):
+    with open(path) as f:
+        return list(csv.DictReader(f))
 
 
 def test_criterion_06_enclosure_recovery(tmp_path_factory):
     out_dirs, elapsed = reference_cli_runs(tmp_path_factory)
-    rows = read_support_csv(out_dirs[0] / "support.csv")
+    rows = read_csv_rows(out_dirs[0] / "support.csv")
     assert len(rows) == 16
     errs = [
         abs(float(r["h_hat"]) - (0.3 * float(r["theta_x"]) + 0.2)) for r in rows
@@ -249,7 +249,7 @@ def test_criterion_06_enclosure_recovery(tmp_path_factory):
     max_err = max(errs)
     assert max_err <= 0.05
 
-    hull_rows = list(csv.DictReader(open(out_dirs[0] / "hull.csv")))
+    hull_rows = read_csv_rows(out_dirs[0] / "hull.csv")
     hull = ConvexPolygon(tuple((float(r["x"]), float(r["y"])) for r in hull_rows))
     dist = hausdorff_support_distance(hull, Disk((0.3, 0.0), 0.2))
     assert dist <= 0.06

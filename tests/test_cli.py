@@ -75,7 +75,8 @@ class TestConfigParsing:
             "positive_permittivity",
             "empty",
         ):
-            raw = json.load(open(cli.scenario_path(name)))
+            with open(cli.scenario_path(name)) as f:
+                raw = json.load(f)
             config = cli.parse_config(raw)
             once = cli.serialize_config(config)
             assert cli.serialize_config(cli.parse_config(once)) == once

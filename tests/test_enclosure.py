@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from enclosure_kit import solver
+from enclosure_kit import enclosure, solver
 from enclosure_kit.enclosure import (
     IndicatorCurve,
     IndicatorEngine,
@@ -19,7 +19,14 @@ from enclosure_kit.errors import (
     InvalidParameterError,
     ProbeResolutionError,
 )
-from enclosure_kit.geometry import DirectionFrame, Disk, UnitDisk
+from enclosure_kit.geometry import (
+    AxisEllipse,
+    ConvexPolygon,
+    DirectionFrame,
+    Disk,
+    Rectangle,
+    UnitDisk,
+)
 from enclosure_kit.materials import (
     Inclusion,
     MaterialScene,
@@ -33,6 +40,12 @@ E1 = DirectionFrame.from_vector((1.0, 0.0))
 COARSE_TAUS = np.linspace(2.0, 8.0, 9)
 
 
+def whole_mesh_contrast(mesh, reduced):
+    """dA assembled over every triangle of the mesh, zeros included."""
+    d_a = solver.reduced_field(mesh, reduced) - solver.identity_field(mesh)
+    return solver.assemble(mesh.vertices, mesh.triangles, d_a)
+
+
 def centered_scene(contrast=1.0):
     return MaterialScene(
         sigma0=1.0,
@@ -40,6 +53,26 @@ def centered_scene(contrast=1.0):
         omega=1.0,
         inclusions=(
             Inclusion(Disk((0.3, 0.0), 0.2), SymMat2.iso(contrast), SymMat2.zero()),
+        ),
+    )
+
+
+def ellipse_and_polygon_scene():
+    return MaterialScene(
+        sigma0=1.0,
+        eps0=1.0,
+        omega=1.0,
+        inclusions=(
+            Inclusion(
+                AxisEllipse((-0.45, 0.1), 0.3, 0.18),
+                SymMat2(0.8, 0.1, 0.6),
+                SymMat2(0.2, 0.0, 0.1),
+            ),
+            Inclusion(
+                ConvexPolygon(((0.3, -0.3), (0.75, -0.2), (0.45, 0.25))),
+                SymMat2.identity(),
+                SymMat2.zero(),
+            ),
         ),
     )
 
@@ -120,11 +153,7 @@ class TestIndicator:
     def test_inclusion_nodes_match_all_vertex_formula(self, coarse_mesh, scene):
         reduced = reduce_scene(scene)
         engine = IndicatorEngine(reduced, coarse_mesh)
-        coeff = solver.reduced_field(coarse_mesh, reduced)
-        delta_k = solver.assemble(
-            coarse_mesh,
-            solver.CoeffField(coeff.matrices - solver.identity_field(coarse_mesh).matrices),
-        )
+        delta_k = whole_mesh_contrast(coarse_mesh, reduced)
         frame = DirectionFrame.from_angle(0.7)
         # probes on every vertex, contracted over every row
         shift = coarse_mesh.domain.support(frame.theta)
@@ -144,6 +173,51 @@ class TestIndicator:
         else:
             assert np.all(np.abs(reference) > 0.0)
             assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "domain, target_h, scene",
+        [
+            (UnitDisk(), 0.04, centered_scene(1.0)),
+            (UnitDisk(), 0.04, centered_scene(-0.5)),
+            (UnitDisk(), 0.04, MaterialScene(sigma0=1.0, eps0=1.0, omega=1.0)),
+            (Rectangle(-1.5, 1.5, -1.0, 1.0), 0.1, ellipse_and_polygon_scene()),
+        ],
+        ids=["positive", "negative", "empty", "ellipse-and-polygon"],
+    )
+    def test_contrast_block_matches_whole_mesh_assembly(self, domain, target_h, scene):
+        # bit for bit: in each case with an inclusion, assembling the
+        # inclusion triangles alone changes the last bit of some entries
+        mesh = generate_mesh(domain, target_h)
+        reduced = reduce_scene(scene)
+        engine = IndicatorEngine(reduced, mesh)
+        delta_k = whole_mesh_contrast(mesh, reduced)
+        delta_k.eliminate_zeros()
+        nodes = np.unique(delta_k.indices)
+        block = delta_k[nodes][:, nodes]
+        assert np.array_equal(engine.nodes, nodes)
+        assert np.array_equal(engine.contrast.indptr, block.indptr)
+        assert np.array_equal(engine.contrast.indices, block.indices)
+        assert np.array_equal(
+            engine.contrast.data.view(np.uint64), block.data.view(np.uint64)
+        )
+
+    def test_contrast_assembled_from_triangles_near_inclusion(
+        self, reference_mesh, monkeypatch
+    ):
+        counts = []
+
+        def counting_assemble(vertices, triangles, coeff):
+            counts.append(len(triangles))
+            return solver.assemble(vertices, triangles, coeff)
+
+        monkeypatch.setattr(enclosure, "assemble", counting_assemble)
+        scene = centered_scene()
+        IndicatorEngine(reduce_scene(scene), reference_mesh)
+        triangles = reference_mesh.triangles
+        inside = scene.inclusions[0].shape.contains_mask(reference_mesh.centroids())
+        near = np.any(np.isin(triangles, triangles[inside]), axis=1)
+        assert counts == [int(np.sum(near))]
+        assert counts[0] < 0.1 * reference_mesh.num_triangles
 
     def test_positive_jump_has_positive_sign(self, coarse_engine):
         curve = coarse_engine.curve(E1, COARSE_TAUS)

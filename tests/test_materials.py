@@ -9,7 +9,7 @@ from enclosure_kit.errors import (
     InvalidConstantsError,
     InvalidParameterError,
 )
-from enclosure_kit.geometry import DirectionFrame, Disk
+from enclosure_kit.geometry import AxisEllipse, DirectionFrame, Disk, perp
 from enclosure_kit.materials import (
     Inclusion,
     Jump,
@@ -177,6 +177,36 @@ class TestSceneValidation:
                 Inclusion(Disk((0.4, 0.0), 0.15), SymMat2.zero(), SymMat2.zero()),
             ),
         )
+
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MaterialScene(sigma0=math.nan, eps0=1.0, omega=1.0),
+            lambda: MaterialScene(sigma0=math.inf, eps0=1.0, omega=1.0),
+            lambda: MaterialScene(sigma0=1.0, eps0=math.inf, omega=1.0),
+            lambda: MaterialScene(sigma0=1.0, eps0=1.0, omega=math.nan),
+            lambda: scene_with(SymMat2(math.nan, 0.0, 1.0), SymMat2.zero()),
+            lambda: scene_with(SymMat2.zero(), SymMat2(math.inf, 0.0, 0.0)),
+            lambda: AxisEllipse((0.0, math.inf), 0.2, 0.1),
+            lambda: Disk((math.nan, 0.0), 0.2),
+            lambda: perp((math.nan, 0.0)),
+        ],
+        ids=[
+            "sigma0-nan",
+            "sigma0-inf",
+            "eps0-inf",
+            "omega-nan",
+            "alpha-nan",
+            "beta-inf",
+            "ellipse-center-inf",
+            "disk-center-nan",
+            "direction-nan",
+        ],
+    )
+    def test_rejects_non_finite_input(self, build):
+        with pytest.raises(InvalidParameterError):
+            build()
 
 
 class TestCheckJump:

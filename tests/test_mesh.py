@@ -42,15 +42,21 @@ class TestRectangleMesh:
         assert stats.min_angle_deg >= 20.0
 
     def test_boundary_loop(self):
-        mesh = generate_mesh(UNIT_SQUARE, 0.5)
-        loop = mesh.boundary_edges
-        assert np.all(loop[:, 1] == np.roll(loop[:, 0], -1))
-        on_edge = np.zeros(mesh.num_vertices, dtype=bool)
-        v = mesh.vertices
-        for k in mesh.boundary_vertices:
-            x, y = v[k]
-            on_edge[k] = min(x, 1 - x, y, 1 - y) < 1e-14
-            assert on_edge[k]
+        # consecutive boundary vertices, wrapping around, are mesh edges
+        for domain in (UNIT_SQUARE, UnitDisk()):
+            mesh = generate_mesh(domain, 0.5)
+            edges = {
+                frozenset(e)
+                for t in mesh.triangles.tolist()
+                for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
+            }
+            loop = mesh.boundary_vertices.tolist()
+            assert all(
+                frozenset((a, b)) in edges for a, b in zip(loop, loop[1:] + loop[:1])
+            )
+        square = generate_mesh(UNIT_SQUARE, 0.5)
+        for x, y in square.vertices[square.boundary_vertices]:
+            assert min(x, 1 - x, y, 1 - y) < 1e-14
 
 
 class TestUnitDiskMesh:
@@ -120,7 +126,6 @@ class TestStatsAndErrors:
                 vertices=np.zeros((3, 2)),
                 triangles=np.empty((0, 3), dtype=np.int64),
                 boundary_vertices=np.arange(3),
-                boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
                 h_max=1.0,
                 domain=UnitDisk(),
             )
@@ -131,7 +136,6 @@ class TestStatsAndErrors:
                 vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 triangles=np.array([[0, 2, 1]]),
                 boundary_vertices=np.arange(3),
-                boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
                 h_max=1.0,
                 domain=UnitDisk(),
             )

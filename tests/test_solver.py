@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from enclosure_kit.errors import InterfaceError, SolveError
+from enclosure_kit.errors import InterfaceError, MeshError, SolveError
 from enclosure_kit.geometry import Disk, Rectangle, UnitDisk
 from enclosure_kit.materials import Inclusion, MaterialScene, SymMat2, reduce_scene
 from enclosure_kit.meshing import generate_mesh
 from enclosure_kit.solver import (
-    CoeffField,
     DirichletSystem,
     assemble,
     difference_pairing,
@@ -23,8 +22,12 @@ UNIT_SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
 
 
 def constant_field(mesh, value):
-    m = np.broadcast_to(value * np.eye(2), (mesh.num_triangles, 2, 2)).copy()
-    return CoeffField(m.astype(complex))
+    m = np.broadcast_to(value * np.eye(2), (mesh.num_triangles, 2, 2))
+    return m.astype(complex)
+
+
+def assemble_on(mesh, coeff):
+    return assemble(mesh.vertices, mesh.triangles, coeff)
 
 
 def boundary_coordinate(mesh, axis=0):
@@ -50,23 +53,35 @@ def inclusion_scene():
 
 class TestAssembly:
     def test_identity_coefficient_is_real_laplacian(self, square_mesh):
-        k = assemble(square_mesh, identity_field(square_mesh))
+        k = assemble_on(square_mesh, identity_field(square_mesh))
         assert np.max(np.abs(k.data.imag)) == 0.0
 
     def test_scalar_factor(self, square_mesh):
-        k1 = assemble(square_mesh, identity_field(square_mesh))
-        kc = assemble(square_mesh, constant_field(square_mesh, 1.0 - 1.0j))
+        k1 = assemble_on(square_mesh, identity_field(square_mesh))
+        kc = assemble_on(square_mesh, constant_field(square_mesh, 1.0 - 1.0j))
         diff = kc - (1.0 - 1.0j) * k1
         assert np.max(np.abs(diff.data)) < 1e-14 if diff.nnz else True
 
     def test_row_sums_vanish(self, square_mesh):
-        k = assemble(square_mesh, constant_field(square_mesh, 2.0 + 0.5j))
+        k = assemble_on(square_mesh, constant_field(square_mesh, 2.0 + 0.5j))
         row_sums = np.asarray(k.sum(axis=1)).ravel()
         assert np.max(np.abs(row_sums)) < 1e-13
 
     def test_mismatched_field(self, square_mesh):
         with pytest.raises(InterfaceError):
-            assemble(square_mesh, CoeffField(np.zeros((3, 2, 2), dtype=complex)))
+            assemble_on(square_mesh, np.zeros((3, 2, 2), dtype=complex))
+
+    def test_empty_triangle_set(self):
+        # the engine hands an empty set over when the scene has no inclusion
+        k = assemble(
+            np.empty((0, 2)), np.empty((0, 3), dtype=np.int64), np.empty((0, 2, 2))
+        )
+        assert k.shape == (0, 0) and k.nnz == 0
+
+    def test_degenerate_triangle_raises(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(MeshError):
+            assemble(vertices, np.array([[0, 1, 2]]), np.eye(2)[None].astype(complex))
 
 
 class TestCoefficientFields:
@@ -79,8 +94,8 @@ class TestCoefficientFields:
         mesh = generate_mesh(UnitDisk(), 0.15)
         for _ in range(10):
             scene = random_valid_scene(rng)
-            orig = scene_field(mesh, scene).matrices
-            red = reduced_field(mesh, reduce_scene(scene)).matrices
+            orig = scene_field(mesh, scene)
+            red = reduced_field(mesh, reduce_scene(scene))
             eig_orig = np.linalg.eigvalsh(orig.real)
             eig_red = np.linalg.eigvalsh(red.real)
             assert np.min(eig_orig) >= -1e-12
@@ -96,7 +111,7 @@ class TestCoefficientFields:
                 Inclusion(Disk((0.3, 0.0), 0.2), SymMat2.identity(), SymMat2.zero()),
             ),
         )
-        field = scene_field(mesh, scene).matrices
+        field = scene_field(mesh, scene)
         inside = scene.inclusions[0].shape.contains_mask(mesh.centroids())
         assert np.allclose(field[inside][:, 0, 0], 2.0 - 1.0j)
         assert np.allclose(field[~inside][:, 0, 0], 1.0 - 1.0j)
@@ -146,7 +161,7 @@ class TestDirichletSolve:
         assert np.polyfit(np.log(targets), np.log(h1), 1)[0] >= 0.9
 
     def test_singular_coefficient_raises(self, square_mesh):
-        zero = CoeffField(np.zeros((square_mesh.num_triangles, 2, 2), dtype=complex))
+        zero = np.zeros((square_mesh.num_triangles, 2, 2), dtype=complex)
         with pytest.raises(SolveError):
             DirichletSystem(square_mesh, zero)
 
