@@ -247,63 +247,6 @@ def load_config(path: str) -> ScenarioConfig:
     return parse_config(raw)
 
 
-# ---------------------------------------------------------------------------
-# serialization (inverse of parse_config)
-
-
-def _shape_dict(shape: Shape) -> dict:
-    if isinstance(shape, Disk):
-        return {"type": "disk", "center": list(shape.center), "radius": shape.radius}
-    if isinstance(shape, AxisEllipse):
-        return {
-            "type": "axis_ellipse",
-            "center": list(shape.center),
-            "semi_a": shape.semi_a,
-            "semi_b": shape.semi_b,
-        }
-    return {"type": "convex_polygon", "vertices": [list(v) for v in shape.vertices]}
-
-
-def _domain_dict(domain: Domain) -> dict:
-    if isinstance(domain, UnitDisk):
-        return {"type": "unit_disk"}
-    return {
-        "type": "rectangle",
-        "x_min": domain.x_min,
-        "x_max": domain.x_max,
-        "y_min": domain.y_min,
-        "y_max": domain.y_max,
-    }
-
-
-def serialize_config(config: ScenarioConfig) -> dict:
-    return {
-        "domain": _domain_dict(config.domain),
-        "material": {
-            "sigma0": config.scene.sigma0,
-            "eps0": config.scene.eps0,
-            "omega": config.scene.omega,
-            "inclusions": [
-                {
-                    "shape": _shape_dict(inc.shape),
-                    "alpha": [inc.alpha.a11, inc.alpha.a12, inc.alpha.a22],
-                    "beta": [inc.beta.a11, inc.beta.a12, inc.beta.a22],
-                }
-                for inc in config.scene.inclusions
-            ],
-        },
-        "sweep": {
-            "n_directions": config.n_directions,
-            "tau_min": config.tau_min,
-            "tau_max": config.tau_max,
-            "n_tau": config.n_tau,
-            "delta": config.delta,
-        },
-        "mesh": {"target_h": config.target_h},
-        "output_dir": config.output_dir,
-    }
-
-
 def scenario_path(name: str) -> str:
     """Path of a bundled scenario preset, e.g. 'positive_disk'."""
     here = os.path.dirname(__file__)
@@ -516,7 +459,6 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None) -> int:
 
 def cmd_mesh_dump(config: ScenarioConfig, out_dir: str | None = None) -> int:
     mesh = meshing.generate_mesh(config.domain, config.target_h)
-    stats = meshing.mesh_stats(mesh)
     target_dir = _output_dir(config, out_dir)
     vpath = os.path.join(target_dir, "vertices.csv")
     tpath = os.path.join(target_dir, "triangles.csv")
@@ -529,8 +471,8 @@ def cmd_mesh_dump(config: ScenarioConfig, out_dir: str | None = None) -> int:
         tpath, ["id", "v0", "v1", "v2"], ([i, *t] for i, t in enumerate(mesh.triangles.tolist()))
     )
     print(
-        f"mesh: {stats.num_vertices} vertices, {stats.num_triangles} triangles, "
-        f"h_max = {stats.h_max:.4g}, min angle = {stats.min_angle_deg:.2f} deg"
+        f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
+        f"h_max = {mesh.h_max:.4g}, min angle = {meshing.min_angle_deg(mesh):.2f} deg"
     )
     print(f"wrote {vpath}, {tpath}")
     return EXIT_OK

@@ -54,10 +54,6 @@ class Probe:
         if not self.tau > 0.0:
             raise InvalidParameterError("probe tau must be > 0")
 
-    @classmethod
-    def for_domain(cls, domain, frame: DirectionFrame, tau: float) -> "Probe":
-        return cls(frame=frame, tau=tau, shift=domain.support(frame.theta))
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Shifted probe values exp(tau*((x.th - s) + i*x.th_perp))."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

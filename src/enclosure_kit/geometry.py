@@ -26,6 +26,8 @@ from .errors import (
 )
 
 UNIT_TOL = 1e-12
+# bound on point coordinates and shape sizes: a product of two stays finite
+COORD_LIMIT = 1e150
 
 Vec2 = tuple[float, float]
 
@@ -34,8 +36,10 @@ def _as_point(x) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.shape != (2,):
         raise InvalidParameterError(f"expected a 2-vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise InvalidParameterError(f"point {tuple(p)} has a non-finite coordinate")
+    if not np.all(np.abs(p) <= COORD_LIMIT):
+        raise InvalidParameterError(
+            f"point {tuple(p)}: coordinates must be finite and at most {COORD_LIMIT:g}"
+        )
     return p
 
 
@@ -110,8 +114,8 @@ class Disk:
 
     def __post_init__(self):
         _as_point(self.center)
-        if not self.radius > 0.0:
-            raise InvalidParameterError("disk radius must be > 0")
+        if not 0.0 < self.radius <= COORD_LIMIT:
+            raise InvalidParameterError(f"disk radius must be > 0 and at most {COORD_LIMIT:g}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -134,8 +138,10 @@ class AxisEllipse:
 
     def __post_init__(self):
         _as_point(self.center)
-        if not (self.semi_a > 0.0 and self.semi_b > 0.0):
-            raise InvalidParameterError("ellipse semi-axes must be > 0")
+        if not (0.0 < self.semi_a <= COORD_LIMIT and 0.0 < self.semi_b <= COORD_LIMIT):
+            raise InvalidParameterError(
+                f"ellipse semi-axes must be > 0 and at most {COORD_LIMIT:g}"
+            )
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "semi_a", float(self.semi_a))
         object.__setattr__(self, "semi_b", float(self.semi_b))
@@ -160,7 +166,7 @@ class ConvexPolygon:
     vertices: tuple[Vec2, ...]
 
     def __post_init__(self):
-        verts = tuple((float(v[0]), float(v[1])) for v in self.vertices)
+        verts = tuple((float(x), float(y)) for x, y in map(_as_point, self.vertices))
         if len(verts) < 3:
             raise InvalidParameterError("polygon needs at least 3 vertices")
         v = np.array(verts)
@@ -192,32 +198,6 @@ class ConvexPolygon:
 
 
 Shape = Union[Disk, AxisEllipse, ConvexPolygon]
-
-
-def support_function(shape: Shape, theta) -> float:
-    """sup over the closed shape of x . theta, for unit theta."""
-    return shape.support(theta)
-
-
-def shape_width(shape: Shape, theta) -> float:
-    """Width of the shape along theta: h(theta) + h(-theta)."""
-    t = _check_unit(theta)
-    return shape.support(t) + shape.support(-t)
-
-
-def slab_contains(shape: Shape, frame: DirectionFrame, delta: float, x) -> bool:
-    """Membership in the slab of thickness delta below the supporting line.
-
-    True iff x lies in the (open) shape and h(theta) - delta < x.theta <= h(theta).
-    """
-    if not delta > 0.0:
-        raise InvalidParameterError("slab thickness delta must be > 0")
-    p = _as_point(x)
-    if not shape.contains_mask(p[None, :])[0]:
-        return False
-    h = shape.support(frame.theta)
-    proj = float(np.dot(p, frame.theta))
-    return h - delta < proj <= h
 
 
 def max_point_norm(shape: Shape) -> float:
@@ -266,6 +246,8 @@ class Rectangle:
     y_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise InvalidParameterError("rectangle bounds must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise InvalidParameterError("rectangle must have nonempty interior")
 

@@ -18,7 +18,6 @@ operation is a pure function, so concurrent use is safe.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,21 +56,8 @@ class SymMat2:
         return cls(0.0, 0.0, 0.0)
 
     @classmethod
-    def diag(cls, d1: float, d2: float) -> "SymMat2":
-        return cls(float(d1), 0.0, float(d2))
-
-    @classmethod
     def iso(cls, c: float) -> "SymMat2":
         return cls(float(c), 0.0, float(c))
-
-    @classmethod
-    def from_array(cls, arr) -> "SymMat2":
-        m = np.asarray(arr, dtype=float)
-        if m.shape != (2, 2):
-            raise InvalidParameterError("expected a 2x2 array")
-        if abs(m[0, 1] - m[1, 0]) > 1e-12 * (1.0 + np.max(np.abs(m))):
-            raise InvalidParameterError("matrix is not symmetric")
-        return cls(float(m[0, 0]), 0.5 * float(m[0, 1] + m[1, 0]), float(m[1, 1]))
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
@@ -118,8 +104,10 @@ class MaterialScene:
     is finite; eps0 > 0; sigma0 >= 0; omega >= 0;
     sigma0 and omega not both zero (the operator would not be coercive);
     on every inclusion eps0*I + beta stays positive definite and
-    sigma0*I + alpha stays non-negative.  Inclusion shapes must be pairwise
-    strictly separated (near-touching configurations are rejected).
+    sigma0*I + alpha stays non-negative, and positive definite when
+    omega = 0 (the per-inclusion form of the rule above).  Inclusion
+    shapes must be pairwise strictly separated (near-touching
+    configurations are rejected).
     """
 
     sigma0: float
@@ -151,6 +139,11 @@ class MaterialScene:
                 raise InvalidParameterError(
                     f"inclusion {k}: sigma0*I + alpha must be non-negative "
                     f"(lowest eigenvalue {sig_min:.4g})"
+                )
+            if self.omega == 0.0 and not sig_min > 0.0:
+                raise InvalidParameterError(
+                    f"inclusion {k}: sigma0*I + alpha must be positive definite "
+                    f"when omega = 0 (lowest eigenvalue {sig_min:.4g})"
                 )
             eps_min = eig_sym2(SymMat2.iso(self.eps0) + inc.beta)[0]
             if eps_min <= 0.0:
@@ -389,9 +382,6 @@ class RegimeReport:
             "rhs": num(self.similarity_rhs),
             "applicable": sorted(self.applicable),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def to_text(self) -> str:
         tx, ty = self.frame.theta

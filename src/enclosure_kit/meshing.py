@@ -110,15 +110,29 @@ def generate_mesh(domain: Domain, target_h: float) -> Mesh:
     raise InvalidParameterError(f"unsupported domain {domain!r}")
 
 
+def _ceil_count(num: float, den: float, target_h: float) -> int:
+    """ceil(num / den) for a cell or ring count, which the triangle count bounds.
+
+    The budget is compared before dividing, since a zero ``den`` or an
+    infinite quotient would make the division or ``math.ceil`` raise.
+    """
+    if not num <= MAX_TRIANGLES * den:
+        raise ResourceLimitError(
+            f"mesh at target_h = {target_h:g} needs more triangles than the "
+            f"budget of {MAX_TRIANGLES}"
+        )
+    return math.ceil(num / den)
+
+
 def _mesh_rectangle(domain: Rectangle, target_h: float) -> Mesh:
     lx = domain.x_max - domain.x_min
     ly = domain.y_max - domain.y_min
     cell = 0.5 * target_h
-    nx = max(1, math.ceil(lx / cell))
-    ny = max(1, math.ceil(ly / cell))
+    nx = max(1, _ceil_count(lx, cell, target_h))
+    ny = max(1, _ceil_count(ly, cell, target_h))
     # cap the cell aspect ratio at 2 to keep the min-angle floor
-    nx = max(nx, math.ceil(lx / (2.0 * ly / ny)))
-    ny = max(ny, math.ceil(ly / (2.0 * lx / nx)))
+    nx = max(nx, _ceil_count(lx, 2.0 * ly / ny, target_h))
+    ny = max(ny, _ceil_count(ly, 2.0 * lx / nx, target_h))
     if 2 * nx * ny > MAX_TRIANGLES:
         raise ResourceLimitError(
             f"rectangle mesh at target_h = {target_h:g} needs {2 * nx * ny} "
@@ -184,7 +198,7 @@ def _merge_rings(outer: np.ndarray, inner: np.ndarray) -> list[tuple[int, int, i
 
 
 def _mesh_unit_disk(domain: UnitDisk, target_h: float) -> Mesh:
-    n_rings = max(2, math.ceil(1.2 / target_h))
+    n_rings = max(2, _ceil_count(1.2, target_h, target_h))
     if 6 * n_rings**2 > MAX_TRIANGLES:
         raise ResourceLimitError(
             f"disk mesh at target_h = {target_h:g} needs {6 * n_rings**2} "
@@ -212,28 +226,12 @@ def _mesh_unit_disk(domain: UnitDisk, target_h: float) -> Mesh:
     return Mesh(vertices, triangles, boundary_vertices, h_max, domain)
 
 
-@dataclass(frozen=True)
-class MeshStats:
-    h_max: float
-    min_angle_deg: float
-    num_vertices: int
-    num_triangles: int
-
-
-def mesh_stats(mesh: Mesh) -> MeshStats:
-    """Recompute quality measures directly from the arrays."""
-    if mesh.num_triangles == 0:
-        raise MeshError("mesh has no triangles")
+def min_angle_deg(mesh: Mesh) -> float:
+    """Smallest interior angle of any triangle, in degrees."""
     lengths = _edge_lengths(mesh.vertices, mesh.triangles)
     a, b, c = lengths[:, 0], lengths[:, 1], lengths[:, 2]
     angles = []
     for opp, s1, s2 in ((a, b, c), (b, c, a), (c, a, b)):
         cosv = np.clip((s1**2 + s2**2 - opp**2) / (2.0 * s1 * s2), -1.0, 1.0)
         angles.append(np.arccos(cosv))
-    min_angle = float(np.min(np.stack(angles)))
-    return MeshStats(
-        h_max=float(np.max(lengths)),
-        min_angle_deg=math.degrees(min_angle),
-        num_vertices=mesh.num_vertices,
-        num_triangles=mesh.num_triangles,
-    )
+    return math.degrees(float(np.min(np.stack(angles))))

@@ -13,7 +13,8 @@ def random_sym(rng, lo_min, hi=3.0):
     c, s = math.cos(ang), math.sin(ang)
     d1, d2 = rng.uniform(lo_min, hi, size=2)
     r = np.array([[c, -s], [s, c]])
-    return SymMat2.from_array(r @ np.diag([d1, d2]) @ r.T)
+    a = r @ np.diag([d1, d2]) @ r.T
+    return SymMat2(float(a[0, 0]), 0.5 * float(a[0, 1] + a[1, 0]), float(a[1, 1]))
 
 
 def random_valid_scene(rng, force_positive_background=False):

@@ -84,7 +84,7 @@ def coarse_engine(coarse_mesh):
 
 class TestProbe:
     def test_shift_normalizes_magnitude(self, coarse_mesh):
-        probe = Probe.for_domain(UnitDisk(), E1, tau=6.0)
+        probe = Probe(E1, 6.0, UnitDisk().support(E1.theta))
         trace = cgo_trace(coarse_mesh, probe)
         mags = np.abs(trace)
         assert np.max(mags) <= 1.0 + 1e-12
@@ -92,14 +92,14 @@ class TestProbe:
         assert np.max(mags) == pytest.approx(1.0, abs=1e-12)
 
     def test_small_tau_limit(self, coarse_mesh):
-        probe = Probe.for_domain(UnitDisk(), E1, tau=1e-9)
+        probe = Probe(E1, 1e-9, UnitDisk().support(E1.theta))
         trace = cgo_trace(coarse_mesh, probe)
         assert np.max(np.abs(trace - 1.0)) < 1e-8
 
     def test_resolution_gate(self, coarse_mesh):
         tau_limit = max_admissible_tau(coarse_mesh)
         with pytest.raises(ProbeResolutionError) as info:
-            cgo_trace(coarse_mesh, Probe.for_domain(UnitDisk(), E1, tau_limit * 1.01))
+            cgo_trace(coarse_mesh, Probe(E1, tau_limit * 1.01, UnitDisk().support(E1.theta)))
         assert info.value.tau_max_admissible == pytest.approx(tau_limit)
 
     def test_rejects_nonpositive_tau(self):
@@ -110,7 +110,7 @@ class TestProbe:
         # five-point finite-difference Laplacian on interior points
         tau = 6.0
         frame = DirectionFrame.from_angle(0.4)
-        probe = Probe.for_domain(UnitDisk(), frame, tau)
+        probe = Probe(frame, tau, UnitDisk().support(frame.theta))
         rng = np.random.default_rng(12)
         pts = rng.uniform(-0.5, 0.5, size=(100, 2))
         h = 1e-4
@@ -229,7 +229,7 @@ class TestIndicator:
         red = reduce_scene(centered_scene())
         engine = IndicatorEngine(red, coarse_mesh)
         tau = 2.0
-        probe = Probe.for_domain(UnitDisk(), E1, tau)
+        probe = Probe(E1, tau, UnitDisk().support(E1.theta))
         trace = cgo_trace(coarse_mesh, probe)
         raw_engine = engine.pairing_differences(E1, np.array([tau]))[0]
         raw_def = solver.difference_pairing(

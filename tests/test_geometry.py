@@ -19,9 +19,6 @@ from enclosure_kit.geometry import (
     hull_from_support,
     perp,
     require_margin,
-    shape_width,
-    slab_contains,
-    support_function,
     uniform_directions,
 )
 
@@ -91,16 +88,16 @@ class TestDirectionFrame:
 
 class TestSupportFunction:
     def test_disk_along_axis(self):
-        assert support_function(Disk((0.3, 0.0), 0.2), (1.0, 0.0)) == pytest.approx(0.5)
+        assert Disk((0.3, 0.0), 0.2).support((1.0, 0.0)) == pytest.approx(0.5)
 
     def test_square_axis(self):
         square = ConvexPolygon(((0.2, -0.2), (0.2, 0.2), (-0.2, 0.2), (-0.2, -0.2)))
-        assert support_function(square, (1.0, 0.0)) == pytest.approx(0.2)
+        assert square.support((1.0, 0.0)) == pytest.approx(0.2)
 
     def test_ellipse_diagonal_closed_form_and_oracle(self):
         shape = AxisEllipse((0.0, 0.0), 0.3, 0.1)
         theta = (SQ2, SQ2)
-        value = support_function(shape, theta)
+        value = shape.support(theta)
         assert value == pytest.approx(math.sqrt(0.05), abs=1e-12)
         oracle = brute_force_support(shape, theta, n=1_000_000)
         assert value == pytest.approx(oracle, abs=1e-6)
@@ -116,20 +113,9 @@ class TestSupportFunction:
             for _ in range(10):
                 ang = rng.uniform(0.0, 2.0 * math.pi)
                 theta = (math.cos(ang), math.sin(ang))
-                assert support_function(shape, theta) == pytest.approx(
+                assert shape.support(theta) == pytest.approx(
                     brute_force_support(shape, theta), abs=1e-6
                 )
-
-    def test_width_nonnegative_and_matches_brute_force(self):
-        shape = AxisEllipse((0.2, -0.1), 0.3, 0.15)
-        for ang in np.linspace(0.0, math.pi, 9):
-            theta = (math.cos(ang), math.sin(ang))
-            width = shape_width(shape, theta)
-            assert width >= 0.0
-            oracle = brute_force_support(shape, theta) + brute_force_support(
-                shape, (-theta[0], -theta[1])
-            )
-            assert width == pytest.approx(oracle, abs=1e-6)
 
     def test_sublinearity(self):
         shapes = [
@@ -147,54 +133,9 @@ class TestSupportFunction:
                 norm = np.hypot(*s)
                 if norm < 1e-6:
                     continue
-                lhs = norm * support_function(shape, s / norm)
-                rhs = support_function(shape, t1) + support_function(shape, t2)
+                lhs = norm * shape.support(s / norm)
+                rhs = shape.support(t1) + shape.support(t2)
                 assert lhs <= rhs + 1e-12
-
-
-class TestSlab:
-    frame = DirectionFrame.from_vector((1.0, 0.0))
-    disk = Disk((0.0, 0.0), 0.2)
-
-    def test_inside_slab(self):
-        assert slab_contains(self.disk, self.frame, 0.05, (0.18, 0.0))
-
-    def test_below_slab(self):
-        assert not slab_contains(self.disk, self.frame, 0.05, (0.0, 0.0))
-
-    def test_outside_shape(self):
-        assert not slab_contains(self.disk, self.frame, 0.05, (0.25, 0.0))
-
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(InvalidParameterError):
-            slab_contains(self.disk, self.frame, 0.0, (0.18, 0.0))
-
-    def test_agrees_with_mask_on_boundary(self):
-        # points sampled on the circle round to either side of it; the slab
-        # test must decide them as the coefficient field's mask does
-        shape = Disk((0.3, 0.0), 0.2)
-        ang = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 2000)
-        pts = np.column_stack([0.3 + 0.2 * np.cos(ang), 0.2 * np.sin(ang)])
-        mask = shape.contains_mask(pts)
-        assert 0 < mask.sum() < len(pts)
-        for p, m in zip(pts, mask):
-            assert slab_contains(shape, self.frame, 1.0, p) == bool(m)
-
-    def test_membership_property(self):
-        rng = np.random.default_rng(11)
-        shape = AxisEllipse((0.1, -0.05), 0.3, 0.2)
-        frame = DirectionFrame.from_angle(0.3)
-        delta = 0.07
-        h = support_function(shape, frame.theta)
-        pts = rng.uniform(-0.5, 0.5, size=(20_000, 2))
-        hits = 0
-        for p in pts:
-            if slab_contains(shape, frame, delta, p):
-                hits += 1
-                proj = float(np.dot(p, frame.theta))
-                assert h - delta < proj <= h
-                assert shape.contains_mask(p[None, :])[0]
-        assert hits > 50
 
 
 class TestContainment:
@@ -216,7 +157,7 @@ class TestContainment:
 class TestHullFromSupport:
     def test_disk_64_directions(self):
         disk = Disk((0.0, 0.0), 0.2)
-        estimates = [(f, support_function(disk, f.theta)) for f in uniform_directions(64)]
+        estimates = [(f, disk.support(f.theta)) for f in uniform_directions(64)]
         hull = hull_from_support(estimates)
         assert hausdorff_support_distance(hull, disk) <= 0.001
 
@@ -231,7 +172,7 @@ class TestHullFromSupport:
     def test_polygon_with_redundant_directions(self):
         square = ConvexPolygon(((0.2, -0.2), (0.2, 0.2), (-0.2, 0.2), (-0.2, -0.2)))
         estimates = [
-            (f, support_function(square, f.theta)) for f in uniform_directions(16)
+            (f, square.support(f.theta)) for f in uniform_directions(16)
         ]
         hull = hull_from_support(estimates)
         got = sorted(hull.vertices)

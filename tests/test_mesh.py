@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from enclosure_kit import cli
 from enclosure_kit.errors import InvalidParameterError, MeshError, ResourceLimitError
-from enclosure_kit.geometry import Rectangle, UnitDisk
+from enclosure_kit.geometry import AxisEllipse, Disk, Rectangle, UnitDisk
 from enclosure_kit.materials import MaterialScene
-from enclosure_kit.meshing import Mesh, generate_mesh, mesh_stats
+from enclosure_kit.meshing import Mesh, generate_mesh, min_angle_deg
 
 UNIT_SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -30,16 +32,14 @@ class TestRectangleMesh:
         assert mesh.num_vertices - unique_edge_count(mesh) + mesh.num_triangles == 1
 
     def test_right_isoceles_angles(self):
-        stats = mesh_stats(generate_mesh(UNIT_SQUARE, 0.2))
-        assert stats.min_angle_deg == pytest.approx(45.0, abs=1e-9)
+        assert min_angle_deg(generate_mesh(UNIT_SQUARE, 0.2)) == pytest.approx(45.0, abs=1e-9)
 
     def test_positive_areas(self):
         mesh = generate_mesh(Rectangle(-1.0, 2.0, 0.5, 1.5), 0.3)
         assert np.min(mesh.triangle_areas()) > 0.0
 
     def test_thin_rectangle_aspect_capped(self):
-        stats = mesh_stats(generate_mesh(Rectangle(0.0, 1.0, 0.0, 0.05), 0.4))
-        assert stats.min_angle_deg >= 20.0
+        assert min_angle_deg(generate_mesh(Rectangle(0.0, 1.0, 0.0, 0.05), 0.4)) >= 20.0
 
     def test_boundary_loop(self):
         # consecutive boundary vertices, wrapping around, are mesh edges
@@ -96,18 +96,10 @@ class TestDeterminismAndRefinement:
     @pytest.mark.parametrize("domain", [UNIT_SQUARE, UnitDisk()])
     def test_min_angle_floor(self, domain):
         for target in (0.3, 0.1, 0.04):
-            stats = mesh_stats(generate_mesh(domain, target))
-            assert stats.min_angle_deg >= 20.0
+            assert min_angle_deg(generate_mesh(domain, target)) >= 20.0
 
 
 class TestStatsAndErrors:
-    def test_stats_match_recomputation(self):
-        mesh = generate_mesh(UnitDisk(), 0.2)
-        stats = mesh_stats(mesh)
-        assert stats.h_max == pytest.approx(mesh.h_max)
-        assert stats.num_vertices == mesh.num_vertices
-        assert stats.num_triangles == mesh.num_triangles
-
     def test_rejects_nonpositive_target(self):
         with pytest.raises(InvalidParameterError):
             generate_mesh(UNIT_SQUARE, 0.0)
@@ -161,3 +153,29 @@ def test_mesh_dump(tmp_path):
     assert len(tlines) == mesh.num_triangles + 1
     assert vlines[0] == "id,x,y"
     assert tlines[0] == "id,v0,v1,v2"
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Disk((0.3, 0.0), math.inf), InvalidParameterError),
+        (lambda: AxisEllipse((0.0, 0.0), math.inf, 1.0), InvalidParameterError),
+        (lambda: Rectangle(0.0, math.inf, 0.0, 1.0), InvalidParameterError),
+        (lambda: generate_mesh(UnitDisk(), 1e-310), ResourceLimitError),
+        (lambda: generate_mesh(UNIT_SQUARE, 1e-310), ResourceLimitError),
+        (lambda: generate_mesh(Rectangle(0.0, 1e308, 0.0, 1.0), 0.1), ResourceLimitError),
+        (lambda: generate_mesh(UNIT_SQUARE, 5e-324), ResourceLimitError),
+    ],
+    ids=[
+        "disk-radius-inf",
+        "ellipse-semi-axis-inf",
+        "rectangle-bound-inf",
+        "disk-target-h-1e-310",
+        "square-target-h-1e-310",
+        "rectangle-width-1e308",
+        "square-target-h-5e-324",
+    ],
+)
+def test_rejects_infinite_size_and_overflowing_count(build, error):
+    with pytest.raises(error):
+        build()
