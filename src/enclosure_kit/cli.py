@@ -292,11 +292,14 @@ def _output_dir(config: ScenarioConfig, out_dir: str | None) -> str:
 def cmd_reduce(config: ScenarioConfig) -> int:
     scene = config.scene
     reduced = materials.reduce_scene(scene)
+    p = q = None
+    if scene.sigma0 > 0.0 and scene.omega > 0.0:
+        p, q = materials.pq_weights(scene.sigma0, scene.eps0, scene.omega)
     print(
         f"background: sigma0 = {scene.sigma0:.6g}, eps0 = {scene.eps0:.6g}, "
         f"omega = {scene.omega:.6g}"
     )
-    blob: dict = {"inclusions": [], "P": None, "Q": None}
+    blob: dict = {"inclusions": [], "P": p, "Q": q}
     for k, inc in enumerate(reduced.inclusions):
         print(f"inclusion {k}:")
         print(f"  a = {_sym_text(inc.a)}")
@@ -309,10 +312,8 @@ def cmd_reduce(config: ScenarioConfig) -> int:
         )
     if not reduced.inclusions:
         print("no inclusions: reduced scene is the identity background")
-    if scene.sigma0 > 0.0 and scene.omega > 0.0:
-        p, q = materials.pq_weights(scene.sigma0, scene.eps0, scene.omega)
+    if p is not None:
         print(f"convex weights: P = {p:.6g}, Q = {q:.6g}")
-        blob["P"], blob["Q"] = p, q
     print(json.dumps(blob))
     return EXIT_OK
 
@@ -363,7 +364,7 @@ def _write_indicator_csv(path: str, result: enclosure.SweepResult) -> None:
         ["direction_index", "theta_x", "theta_y", "tau", "t", "log_abs_I", "sign"],
         (
             [
-                d.index,
+                k,
                 _fmt(d.frame.theta[0]),
                 _fmt(d.frame.theta[1]),
                 _fmt(float(d.curve.taus[i])),
@@ -371,22 +372,21 @@ def _write_indicator_csv(path: str, result: enclosure.SweepResult) -> None:
                 "" if d.curve.underflow[i] else _fmt(float(d.curve.log_abs[i])),
                 int(d.curve.signs[i]),
             ]
-            for d in result.directions
+            for k, d in enumerate(result.directions)
             for i in range(len(d.curve))
         ),
     )
 
 
 def _write_support_csv(path: str, result: enclosure.SweepResult) -> None:
-    def row(d: enclosure.DirectionResult) -> list:
+    def row(k: int, d: enclosure.DirectionResult) -> list:
         est = d.estimate
-        h_exact = est.h_exact if est is not None else None
         return [
-            d.index,
+            k,
             _fmt(d.frame.theta[0]),
             _fmt(d.frame.theta[1]),
             _fmt(est.h_hat) if est is not None else "",
-            _fmt(h_exact) if h_exact is not None else "",
+            _fmt(d.h_exact) if est is not None and d.h_exact is not None else "",
             _fmt(est.fit_residual) if est is not None else "",
             ";".join(d.flags),
         ]
@@ -402,7 +402,7 @@ def _write_support_csv(path: str, result: enclosure.SweepResult) -> None:
             "fit_residual",
             "regime_flags",
         ],
-        map(row, result.directions),
+        (row(k, d) for k, d in enumerate(result.directions)),
     )
 
 
@@ -430,23 +430,23 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None) -> int:
     _write_hull_csv(paths["hull"], result.hull)
 
     print(f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, h_max = {mesh.h_max:.4g}")
-    for d in result.directions:
+    for k, d in enumerate(result.directions):
         tx, ty = d.frame.theta
         if d.estimate is None:
-            print(f"direction {d.index:3d} ({tx:+.3f},{ty:+.3f}): {';'.join(d.flags)}")
+            print(f"direction {k:3d} ({tx:+.3f},{ty:+.3f}): {';'.join(d.flags)}")
         else:
-            line = (
-                f"direction {d.index:3d} ({tx:+.3f},{ty:+.3f}): "
-                f"h_hat = {d.estimate.h_hat:.5f}"
-            )
-            if d.estimate.h_exact is not None:
+            line = f"direction {k:3d} ({tx:+.3f},{ty:+.3f}): h_hat = {d.estimate.h_hat:.5f}"
+            if d.h_exact is not None:
                 line += (
-                    f", h_exact = {d.estimate.h_exact:.5f}"
-                    f", err = {abs(d.estimate.h_hat - d.estimate.h_exact):.5f}"
+                    f", h_exact = {d.h_exact:.5f}"
+                    f", err = {abs(d.estimate.h_hat - d.h_exact):.5f}"
                 )
             line += f"  [{';'.join(d.flags)}]"
             print(line)
-    print(result.message)
+    if result.detected:
+        print(f"estimated support on {len(result.estimates())}/{len(result.directions)} directions")
+    else:
+        print("no inclusion detected")
     max_err = result.max_support_error()
     if max_err is not None:
         print(f"max |h_hat - h_exact| = {max_err:.5f}")

@@ -17,7 +17,7 @@ direction; intersecting the fitted half planes encloses the convex hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,25 +88,26 @@ def cgo_trace(mesh: Mesh, probe: Probe) -> np.ndarray:
 class IndicatorCurve:
     """Indicator samples along increasing tau at a fixed height t.
 
-    ``log_abs`` entries are meaningless where ``underflow`` is set (the raw
-    pairing difference fell below the floor); they are stored as 0.0, never
-    as -inf.
+    A sample underflowed where its sign is 0 (the raw pairing difference
+    fell below the floor); its ``log_abs`` entry is meaningless there and
+    stored as 0.0, never as -inf.
     """
 
-    frame: DirectionFrame
     t: float
     taus: np.ndarray
     log_abs: np.ndarray
     signs: np.ndarray
-    underflow: np.ndarray
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
         if len(taus) and np.any(np.diff(taus) <= 0.0):
             raise InvalidParameterError("curve taus must be strictly increasing")
-        ok = ~np.asarray(self.underflow, dtype=bool)
-        if not np.all(np.isfinite(np.asarray(self.log_abs)[ok])):
+        if not np.all(np.isfinite(np.asarray(self.log_abs)[~self.underflow])):
             raise InvalidParameterError("non-finite log sample without underflow flag")
+
+    @property
+    def underflow(self) -> np.ndarray:
+        return np.asarray(self.signs) == 0
 
     def __len__(self) -> int:
         return len(self.taus)
@@ -115,12 +116,10 @@ class IndicatorCurve:
         """Same curve at another height via the exact identity
         log|I(tau, t1)| - log|I(tau, t2)| = 2*tau*(t2 - t1)."""
         return IndicatorCurve(
-            frame=self.frame,
             t=new_t,
             taus=self.taus,
             log_abs=self.log_abs + 2.0 * self.taus * (self.t - new_t),
             signs=self.signs,
-            underflow=self.underflow,
         )
 
 
@@ -128,10 +127,8 @@ class IndicatorCurve:
 class SupportEstimate:
     """Fitted support value for one direction."""
 
-    frame: DirectionFrame
     h_hat: float
     fit_residual: float
-    h_exact: float | None = None
 
 
 class IndicatorEngine:
@@ -206,9 +203,7 @@ class IndicatorEngine:
         safe = np.where(under, 1.0, np.abs(j))
         log_abs = np.where(under, 0.0, np.log(safe) + 2.0 * taus * shift)
         signs = np.where(under, 0, np.sign(j)).astype(int)
-        return IndicatorCurve(
-            frame=frame, t=0.0, taus=taus, log_abs=log_abs, signs=signs, underflow=under
-        )
+        return IndicatorCurve(t=0.0, taus=taus, log_abs=log_abs, signs=signs)
 
 
 def estimate_support(curve: IndicatorCurve) -> SupportEstimate:
@@ -235,7 +230,7 @@ def estimate_support(curve: IndicatorCurve) -> SupportEstimate:
     xm, ym = np.mean(x), np.mean(y)
     slope = float(np.sum((x - xm) * (y - ym)) / np.sum((x - xm) ** 2))
     resid = float(np.sqrt(np.mean((y - (ym + slope * (x - xm))) ** 2)))
-    return SupportEstimate(frame=curve.frame, h_hat=slope, fit_residual=resid)
+    return SupportEstimate(h_hat=slope, fit_residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +239,13 @@ def estimate_support(curve: IndicatorCurve) -> SupportEstimate:
 
 @dataclass(frozen=True)
 class DirectionResult:
-    index: int
+    """One probing direction: its curve, its fit (None without signal),
+    the scene's exact support (None without inclusions) and regime flags."""
+
     frame: DirectionFrame
     curve: IndicatorCurve
     estimate: SupportEstimate | None
+    h_exact: float | None
     flags: tuple[str, ...]
 
 
@@ -256,17 +254,19 @@ class SweepResult:
     directions: tuple[DirectionResult, ...]
     hull: ConvexPolygon | None
     hull_error: str | None
-    detected: bool
-    message: str
+
+    @property
+    def detected(self) -> bool:
+        return bool(self.estimates())
 
     def estimates(self) -> list[SupportEstimate]:
         return [d.estimate for d in self.directions if d.estimate is not None]
 
     def max_support_error(self) -> float | None:
         errs = [
-            abs(e.h_hat - e.h_exact)
-            for e in self.estimates()
-            if e.h_exact is not None
+            abs(d.estimate.h_hat - d.h_exact)
+            for d in self.directions
+            if d.estimate is not None and d.h_exact is not None
         ]
         return max(errs) if errs else None
 
@@ -293,7 +293,7 @@ def sweep(
     reduced = materials.reduce_scene(scene)
     engine = IndicatorEngine(reduced, mesh)
     results = []
-    for k, frame in enumerate(geometry.uniform_directions(n_directions)):
+    for frame in geometry.uniform_directions(n_directions):
         curve = engine.curve(frame, taus)
         flags: list[str] = []
         h_exact = None
@@ -308,38 +308,17 @@ def sweep(
                 flags.append(OUTSIDE_REGIME_FLAG)
         try:
             estimate = estimate_support(curve)
-            if h_exact is not None:
-                estimate = replace(estimate, h_exact=h_exact)
         except EstimationError:
             estimate = None
             flags.append(NO_SIGNAL_FLAG)
-        results.append(
-            DirectionResult(
-                index=k,
-                frame=frame,
-                curve=curve,
-                estimate=estimate,
-                flags=tuple(flags),
-            )
-        )
+        results.append(DirectionResult(frame, curve, estimate, h_exact, tuple(flags)))
 
     estimated = [(d.frame, d.estimate.h_hat) for d in results if d.estimate is not None]
     hull = None
     hull_error = None
-    if not estimated:
-        detected = False
-        message = "no inclusion detected"
-    else:
-        detected = True
-        message = f"estimated support on {len(estimated)}/{n_directions} directions"
+    if estimated:
         try:
             hull = geometry.hull_from_support(estimated)
         except (DegenerateHullError, InvalidParameterError) as exc:
             hull_error = str(exc)
-    return SweepResult(
-        directions=tuple(results),
-        hull=hull,
-        hull_error=hull_error,
-        detected=detected,
-        message=message,
-    )
+    return SweepResult(directions=tuple(results), hull=hull, hull_error=hull_error)

@@ -53,47 +53,24 @@ def _check_unit(theta) -> np.ndarray:
     return t
 
 
-def perp(theta) -> np.ndarray:
-    """Rotate a unit vector by +90 degrees.
-
-    The sign convention is fixed: (1, 0) -> (0, 1).  The result is exactly
-    orthogonal to the input up to rounding.
-    """
-    t = _check_unit(theta)
-    return np.array([-t[1], t[0]])
-
-
 @dataclass(frozen=True)
 class DirectionFrame:
-    """A probing direction theta with its fixed perpendicular.
-
-    ``theta_perp`` is always theta rotated by +90 degrees; construct via
-    :meth:`from_vector` or :meth:`from_angle` rather than by hand.
-    """
+    """A unit probing direction theta; ``theta_perp`` is theta rotated by
+    +90 degrees, with the fixed sign convention (1, 0) -> (0, 1)."""
 
     theta: Vec2
-    theta_perp: Vec2
 
     def __post_init__(self):
         t = _check_unit(self.theta)
-        p = _check_unit(self.theta_perp)
-        expected = perp(t)
-        if not np.allclose(p, expected, rtol=0.0, atol=1e-12):
-            raise InvalidDirectionError(
-                "theta_perp must be theta rotated by +90 degrees"
-            )
         object.__setattr__(self, "theta", (float(t[0]), float(t[1])))
-        object.__setattr__(self, "theta_perp", (float(p[0]), float(p[1])))
 
-    @classmethod
-    def from_vector(cls, theta) -> "DirectionFrame":
-        t = _check_unit(theta)
-        p = perp(t)
-        return cls(theta=(t[0], t[1]), theta_perp=(p[0], p[1]))
+    @property
+    def theta_perp(self) -> Vec2:
+        return (-self.theta[1], self.theta[0])
 
     @classmethod
     def from_angle(cls, angle: float) -> "DirectionFrame":
-        return cls.from_vector((math.cos(angle), math.sin(angle)))
+        return cls((math.cos(angle), math.sin(angle)))
 
 
 def uniform_directions(n: int) -> list[DirectionFrame]:
@@ -350,12 +327,18 @@ def _tidy_polygon(points: np.ndarray, tol: float) -> np.ndarray:
             kept.append(p)
     while len(kept) > 1 and np.max(np.abs(kept[0] - kept[-1])) <= tol:
         kept.pop()
+    # A vertex goes when it lies within tol of the line from the last kept
+    # vertex to the next one.  Both ends of an edge a few tol long lie within
+    # tol of their original neighbours' lines, so testing against those would
+    # drop both and lose the corner they share.
     out: list[np.ndarray] = []
     n = len(kept)
     for i in range(n):
-        a, b, c = kept[i - 1], kept[i], kept[(i + 1) % n]
+        a = out[-1] if out else kept[i - 1]
+        b = kept[i]
+        c = out[0] if out and i == n - 1 else kept[(i + 1) % n]
         cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if abs(cross) > tol * (1.0 + np.max(np.abs([a, b, c]))):
+        if abs(cross) > tol * np.hypot(*(c - a)):
             out.append(b)
     return np.array(out) if out else np.empty((0, 2))
 

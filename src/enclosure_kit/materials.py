@@ -214,15 +214,20 @@ def reduce_scene(scene: MaterialScene) -> ReducedScene:
     (sigma0 - i*omega*eps0) * ((I+a) - i*omega*b) = sigma - i*omega*eps
     holds entrywise on every inclusion and trivially outside.
     """
-    denom = scene.sigma0**2 + scene.omega**2 * scene.eps0**2
+    sigma0, eps0, omega = scene.sigma0, scene.eps0, scene.omega
+    # products, not **: a float power that overflows raises OverflowError
+    denom = sigma0 * sigma0 + (omega * omega) * (eps0 * eps0)
     if denom == 0.0:
         raise DegenerateBackgroundError("sigma0^2 + omega^2*eps0^2 vanishes")
     reduced = []
-    for inc in scene.inclusions:
-        a = (scene.sigma0 * inc.alpha + scene.omega**2 * scene.eps0 * inc.beta) * (
-            1.0 / denom
-        )
-        b = (-scene.eps0 * inc.alpha + scene.sigma0 * inc.beta) * (1.0 / denom)
+    for k, inc in enumerate(scene.inclusions):
+        a = (sigma0 * inc.alpha + omega * omega * eps0 * inc.beta) * (1.0 / denom)
+        b = (-eps0 * inc.alpha + sigma0 * inc.beta) * (1.0 / denom)
+        if not all(map(math.isfinite, (a.a11, a.a12, a.a22, b.a11, b.a12, b.a22))):
+            raise InvalidParameterError(
+                f"inclusion {k}: reduced tensors a, b are not finite; "
+                "the material constants are too large"
+            )
         reduced.append(ReducedInclusion(shape=inc.shape, a=a, b=b))
     return ReducedScene(omega=scene.omega, inclusions=tuple(reduced))
 
@@ -313,8 +318,10 @@ def pq_weights(sigma0: float, eps0: float, omega: float) -> tuple[float, float]:
     """
     if not (sigma0 > 0.0 and eps0 > 0.0 and omega > 0.0):
         raise InvalidParameterError("pq_weights requires sigma0, eps0, omega > 0")
-    denom = sigma0**2 + omega**2 * eps0**2
-    return sigma0**2 / denom, omega**2 * eps0**2 / denom
+    denom = sigma0 * sigma0 + (omega * omega) * (eps0 * eps0)
+    if not math.isfinite(denom):
+        raise InvalidParameterError("sigma0^2 + omega^2*eps0^2 is not finite")
+    return sigma0 * sigma0 / denom, (omega * omega) * (eps0 * eps0) / denom
 
 
 def similarity_check(

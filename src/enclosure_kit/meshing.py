@@ -12,7 +12,7 @@ never meshed conformingly; materials are sampled at triangle centroids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,8 @@ class Mesh:
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counterclockwise
     boundary_vertices : indices of boundary vertices, ordered along the loop
-    h_max : longest edge
     domain : the Domain that was meshed
+    h_max : longest edge, computed from the triangles
 
     Arrays are locked after construction; a mesh is immutable and safe to
     share across threads.
@@ -40,12 +40,15 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_vertices: np.ndarray
-    h_max: float
     domain: Domain
+    h_max: float = field(init=False)
 
     def __post_init__(self):
         if len(self.triangles) == 0:
             raise MeshError("mesh has no triangles")
+        object.__setattr__(
+            self, "h_max", float(np.max(_edge_lengths(self.vertices, self.triangles)))
+        )
         if np.min(self.triangle_areas()) <= 0.0:
             raise MeshError("mesh contains a degenerate or misoriented triangle")
         for arr in (self.vertices, self.triangles, self.boundary_vertices):
@@ -168,8 +171,7 @@ def _mesh_rectangle(domain: Rectangle, target_h: float) -> Mesh:
         + [vid(0, j) for j in range(ny, 0, -1)]
     )
     boundary_vertices = np.array(loop, dtype=np.int64)
-    h_max = float(np.max(_edge_lengths(vertices, tris)))
-    return Mesh(vertices, tris, boundary_vertices, h_max, domain)
+    return Mesh(vertices, tris, boundary_vertices, domain)
 
 
 def _ring_start(k: int) -> int:
@@ -222,8 +224,7 @@ def _mesh_unit_disk(domain: UnitDisk, target_h: float) -> Mesh:
     triangles = np.array(tris, dtype=np.int64)
 
     boundary_vertices = np.arange(_ring_start(n_rings), _ring_start(n_rings) + 6 * n_rings)
-    h_max = float(np.max(_edge_lengths(vertices, triangles)))
-    return Mesh(vertices, triangles, boundary_vertices, h_max, domain)
+    return Mesh(vertices, triangles, boundary_vertices, domain)
 
 
 def min_angle_deg(mesh: Mesh) -> float:

@@ -48,7 +48,7 @@ from scene_factory import random_definite_scene, random_valid_scene
 
 ACCEPTANCE_RESULTS = []
 
-E1 = DirectionFrame.from_vector((1.0, 0.0))
+E1 = DirectionFrame((1.0, 0.0))
 
 
 def record(number, detail):

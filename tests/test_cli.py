@@ -233,6 +233,25 @@ class TestConfigParsing:
         assert "material.omega" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, inclusions",
+        [("reduce", 1), ("check", 1), ("sweep", 1), ("reduce", 0)],
+        ids=["reduce", "check", "sweep", "reduce-no-inclusion"],
+    )
+    def test_overflowing_omega_is_one_error_line(self, tmp_path, capsys, command, inclusions):
+        # omega^2 overflows in the reduced tensors, or in P, Q without inclusions
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["material"]["omega"] = 1e200
+        del raw["material"]["inclusions"][inclusions:]
+        path = write_config(tmp_path, raw)
+        args = [command, "--config", path]
+        if command == "sweep":
+            args += ["--out", str(tmp_path / "o")]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["check", "sweep"])
     def test_non_coercive_static_scene_rejected(self, tmp_path, capsys, command):
         # omega = 0 leaves sigma0*I + alpha as the whole operator on the inclusion

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclosure_kit.errors import (
     DegenerateHullError,
@@ -17,7 +19,6 @@ from enclosure_kit.geometry import (
     UnitDisk,
     hausdorff_support_distance,
     hull_from_support,
-    perp,
     require_margin,
     uniform_directions,
 )
@@ -50,33 +51,29 @@ def brute_force_support(shape, theta, n=100_000):
 
 class TestPerp:
     def test_basis_vectors(self):
-        assert np.allclose(perp((1.0, 0.0)), (0.0, 1.0))
-        assert np.allclose(perp((0.0, 1.0)), (-1.0, 0.0))
+        assert np.allclose(DirectionFrame((1.0, 0.0)).theta_perp, (0.0, 1.0))
+        assert np.allclose(DirectionFrame((0.0, 1.0)).theta_perp, (-1.0, 0.0))
 
     def test_diagonal(self):
-        assert np.allclose(perp((SQ2, SQ2)), (-SQ2, SQ2))
+        assert np.allclose(DirectionFrame((SQ2, SQ2)).theta_perp, (-SQ2, SQ2))
 
     def test_orthogonality(self):
         for ang in np.linspace(0, 2 * math.pi, 17):
             t = (math.cos(ang), math.sin(ang))
-            assert abs(np.dot(perp(t), t)) < 1e-15
+            assert abs(np.dot(DirectionFrame(t).theta_perp, t)) < 1e-15
 
     def test_rejects_non_unit(self):
         with pytest.raises(InvalidDirectionError):
-            perp((1.0, 1.0))
+            DirectionFrame((1.0, 1.0))
         with pytest.raises(InvalidDirectionError):
-            perp((1.0 + 1e-9, 0.0))
+            DirectionFrame((1.0 + 1e-9, 0.0))
 
 
 class TestDirectionFrame:
-    def test_from_vector_sign_convention(self):
-        f = DirectionFrame.from_vector((1.0, 0.0))
+    def test_sign_convention(self):
+        f = DirectionFrame((1.0, 0.0))
         assert f.theta == (1.0, 0.0)
         assert f.theta_perp == (0.0, 1.0)
-
-    def test_rejects_wrong_perp(self):
-        with pytest.raises(InvalidDirectionError):
-            DirectionFrame(theta=(1.0, 0.0), theta_perp=(0.0, -1.0))
 
     def test_uniform_directions(self):
         frames = uniform_directions(16)
@@ -163,7 +160,7 @@ class TestHullFromSupport:
 
     def test_square_exact_from_face_normals(self):
         square = ConvexPolygon(((0.2, -0.2), (0.2, 0.2), (-0.2, 0.2), (-0.2, -0.2)))
-        frames = [DirectionFrame.from_vector(v) for v in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+        frames = [DirectionFrame(v) for v in ((1, 0), (0, 1), (-1, 0), (0, -1))]
         hull = hull_from_support([(f, 0.2) for f in frames])
         got = sorted(hull.vertices)
         want = sorted(square.vertices)
@@ -180,19 +177,70 @@ class TestHullFromSupport:
         assert np.allclose(got, want, atol=1e-9)
 
     def test_empty_intersection(self):
-        frames = [DirectionFrame.from_vector(v) for v in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+        frames = [DirectionFrame(v) for v in ((1, 0), (0, 1), (-1, 0), (0, -1))]
         with pytest.raises(DegenerateHullError):
             hull_from_support([(f, -1.0) for f in frames])
 
     def test_unbounded_intersection(self):
-        frames = [DirectionFrame.from_vector(v) for v in ((1, 0), (0, 1), (-1, 0))]
+        frames = [DirectionFrame(v) for v in ((1, 0), (0, 1), (-1, 0))]
         with pytest.raises(DegenerateHullError):
             hull_from_support([(f, 1.0) for f in frames])
 
     def test_too_few_directions(self):
-        frames = [DirectionFrame.from_vector(v) for v in ((1, 0), (0, 1))]
+        frames = [DirectionFrame(v) for v in ((1, 0), (0, 1))]
         with pytest.raises(InvalidParameterError):
             hull_from_support([(f, 1.0) for f in frames])
+
+    def test_short_edge_keeps_its_corner(self):
+        # h_3 sits 3e-9 below the value at which edge 3 vanishes, so that
+        # edge is a few 1e-9 long; its two ends must not both be dropped
+        disk = Disk((0.3, 0.0), 0.2)
+        frames = uniform_directions(16)
+        h = [disk.support(f.theta) for f in frames]
+        corner = np.linalg.solve([frames[2].theta, frames[4].theta], [h[2], h[4]])
+        h[3] = float(corner @ frames[3].theta) - 3e-9
+        hull = hull_from_support(list(zip(frames, h)))
+        assert len(hull.vertices) == 16
+        assert max(abs(hull.support(f.theta) - hk) for f, hk in zip(frames, h)) <= 1e-9
+
+
+MIN_GAP, MAX_GAP = 1e-3, 3.14159  # angular gaps between polygon vertices, below pi
+
+
+@st.composite
+def convex_polygons(draw):
+    """Vertices on a circle at angular gaps in [MIN_GAP, MAX_GAP]."""
+    n = draw(st.integers(3, 12))
+    radius = draw(st.floats(1e-3, 10.0))
+    centre = np.array([draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))])
+    angles = [draw(st.floats(0.0, 2.0 * math.pi))]
+    rest = 2.0 * math.pi
+    for remaining in range(n - 1, 0, -1):
+        # leave every remaining gap, the closing one included, in range
+        lo = max(MIN_GAP, rest - remaining * MAX_GAP)
+        hi = max(lo, min(MAX_GAP, rest - remaining * MIN_GAP))
+        gap = draw(st.floats(lo, hi))
+        angles.append(angles[-1] + gap)
+        rest -= gap
+    angles = np.array(angles)
+    return centre + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(convex_polygons(), st.integers(8, 64))
+def test_hull_of_exact_supports_is_tight_and_contains_the_polygon(vertices, n_directions):
+    frames = uniform_directions(n_directions)
+    h = [float(np.max(vertices @ f.theta)) for f in frames]
+    tol = 1e-9 * max(1.0, max(map(abs, h)))
+    hull = hull_from_support(list(zip(frames, h)))
+    for f, hk in zip(frames, h):
+        assert abs(hull.support(f.theta) - hk) <= tol
+    corners = hull.vertex_array()
+    edges = np.roll(corners, -1, axis=0) - corners
+    for p in vertices:
+        rel = p - corners
+        outside = edges[:, 1] * rel[:, 0] - edges[:, 0] * rel[:, 1]
+        assert np.all(outside <= tol * np.hypot(edges[:, 0], edges[:, 1]))
 
 
 class TestDomains:

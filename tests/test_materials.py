@@ -9,7 +9,7 @@ from enclosure_kit.errors import (
     InvalidConstantsError,
     InvalidParameterError,
 )
-from enclosure_kit.geometry import AxisEllipse, DirectionFrame, Disk, perp
+from enclosure_kit.geometry import AxisEllipse, DirectionFrame, Disk
 from enclosure_kit.materials import (
     Inclusion,
     Jump,
@@ -28,7 +28,7 @@ from enclosure_kit.materials import (
     similarity_check,
 )
 
-E1 = DirectionFrame.from_vector((1.0, 0.0))
+E1 = DirectionFrame((1.0, 0.0))
 
 
 def scene_with(alpha, beta, sigma0=1.0, eps0=1.0, omega=1.0, shape=None):
@@ -130,6 +130,11 @@ class TestReduce:
                 assert np.max(np.abs(sig_tilde - np.eye(2) - rinc.a.as_array())) < 1e-12
                 assert np.max(np.abs(eps_tilde - rinc.b.as_array())) < 1e-12
 
+    def test_overflowing_omega_rejected(self):
+        # omega^2 overflows: a typed error naming the inclusion, not OverflowError
+        with pytest.raises(InvalidParameterError, match="inclusion 0"):
+            reduce_scene(scene_with(SymMat2.identity(), SymMat2.zero(), omega=1e200))
+
 
 class TestSceneValidation:
     def test_rejects_bad_eps0(self):
@@ -187,7 +192,7 @@ class TestSceneValidation:
             lambda: scene_with(SymMat2.zero(), SymMat2(math.inf, 0.0, 0.0)),
             lambda: AxisEllipse((0.0, math.inf), 0.2, 0.1),
             lambda: Disk((math.nan, 0.0), 0.2),
-            lambda: perp((math.nan, 0.0)),
+            lambda: DirectionFrame((math.nan, 0.0)),
         ],
         ids=[
             "sigma0-nan",
@@ -355,6 +360,8 @@ class TestPQWeights:
             pq_weights(0.0, 1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             pq_weights(1.0, 1.0, 0.0)
+        with pytest.raises(InvalidParameterError):
+            pq_weights(1.0, 1.0, 1e200)
 
 
 class TestSimilarity:

@@ -118,9 +118,17 @@ class TestStatsAndErrors:
                 vertices=np.zeros((3, 2)),
                 triangles=np.empty((0, 3), dtype=np.int64),
                 boundary_vertices=np.arange(3),
-                h_max=1.0,
                 domain=UnitDisk(),
             )
+
+    def test_hand_built_mesh_reports_longest_edge(self):
+        mesh = Mesh(
+            vertices=np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]),
+            triangles=np.array([[0, 1, 2]]),
+            boundary_vertices=np.arange(3),
+            domain=UnitDisk(),
+        )
+        assert mesh.h_max == 5.0
 
     def test_misoriented_triangle_rejected(self):
         with pytest.raises(MeshError):
@@ -128,7 +136,6 @@ class TestStatsAndErrors:
                 vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 triangles=np.array([[0, 2, 1]]),
                 boundary_vertices=np.arange(3),
-                h_max=1.0,
                 domain=UnitDisk(),
             )
 

@@ -1,9 +1,12 @@
-"""Every function and class the library defines has a caller outside tests.
+"""Every name the library defines has a reader outside tests.
 
-A name counts as used when ``src/enclosure_kit`` or ``benchmarks`` refers
-to it, as a plain name or as an attribute.  The rest must be in ALLOWED,
-each with the reason it stays; a name that tests alone call, and that no
-test compares the pipeline against, should be deleted instead.
+A function or class counts as used when ``src/enclosure_kit`` or
+``benchmarks`` refers to it, as a plain name or as an attribute; a
+dataclass field counts as used when one of them reads it as an attribute.
+The rest must be in ALLOWED or ALLOWED_FIELDS, each with the reason it
+stays; a name that tests alone read, and that no test compares the
+pipeline against, should be deleted instead, and a field whose value the
+code can work out should be a property.
 """
 
 import ast
@@ -21,6 +24,10 @@ ALLOWED = {
     "shifted": "criterion 7 moves indicator curves to other heights",
     "zero": "the README library example builds SymMat2.zero()",
     "error": "argparse calls _Parser.error",
+}
+
+ALLOWED_FIELDS = {
+    "residual_norm": "test reference: the Dirichlet tests check the solve residual",
 }
 
 
@@ -45,3 +52,30 @@ def test_every_library_name_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert defined - used == set(ALLOWED)
+
+
+def is_dataclass(node):
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read():
+    library = parsed(LIBRARY)
+    fields = {
+        stmt.target.id
+        for tree in library
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    read = {
+        node.attr
+        for tree in library + parsed(ROOT / "benchmarks")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert fields - read == set(ALLOWED_FIELDS)
