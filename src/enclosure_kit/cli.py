@@ -43,6 +43,9 @@ from .geometry import (
 )
 from .materials import Inclusion, MaterialScene, SymMat2
 
+# largest n_directions or n_tau a config may ask for
+MAX_SAMPLES = 10_000
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -197,10 +200,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
     n_tau = _integer(sweep_d["n_tau"], "sweep.n_tau")
     if not (0.0 < tau_min < tau_max):
         raise ConfigError("sweep: need 0 < tau_min < tau_max")
-    if n_tau < 2:
-        raise ConfigError("sweep.n_tau: need at least 2 samples")
-    if n_directions < 1:
-        raise ConfigError("sweep.n_directions: need at least 1")
+    if not 2 <= n_tau <= MAX_SAMPLES:
+        raise ConfigError(f"sweep.n_tau: need 2 to {MAX_SAMPLES} samples")
+    if not 1 <= n_directions <= MAX_SAMPLES:
+        raise ConfigError(f"sweep.n_directions: need 1 to {MAX_SAMPLES}")
     delta = None
     if sweep_d.get("delta") is not None:
         delta = _number(sweep_d["delta"], "sweep.delta")

@@ -27,6 +27,7 @@ from .errors import (
     EstimationError,
     InvalidParameterError,
     ProbeResolutionError,
+    ResourceLimitError,
 )
 from .geometry import ConvexPolygon, DirectionFrame
 from .materials import MaterialScene, ReducedScene
@@ -36,6 +37,9 @@ from .solver import DirichletSystem, assemble, reduced_field
 # probe oscillation must be resolved: tau * h_max <= RESOLUTION_GATE
 RESOLUTION_GATE = 0.5
 UNDERFLOW_FLOOR = 1e-300
+# largest solve block, vertices x taus: 8M complex entries are 128 MB,
+# and a solve holds a few arrays of that size at once
+MAX_SOLVE_BLOCK = 8_000_000
 
 NO_INCLUSION_FLAG = "no-inclusion"
 NO_SIGNAL_FLAG = "no-signal"
@@ -282,7 +286,8 @@ def sweep(
 
     Directions whose regime report has an empty applicable set are flagged
     "outside proven regime" but still estimated.  An underresolved tau
-    raises ProbeResolutionError before any factorization.
+    raises ProbeResolutionError, and a solve block of more than
+    MAX_SOLVE_BLOCK entries ResourceLimitError, before any factorization.
     """
     if n_directions < 8:
         raise InvalidParameterError("sweep needs at least 8 directions")
@@ -290,6 +295,11 @@ def sweep(
     if len(taus) < 8:
         raise InvalidParameterError("sweep needs at least 8 tau samples")
     _require_resolved(mesh, float(np.max(taus)))
+    if mesh.num_vertices * len(taus) > MAX_SOLVE_BLOCK:
+        raise ResourceLimitError(
+            f"{len(taus)} taus on {mesh.num_vertices} vertices need a solve block of "
+            f"{mesh.num_vertices * len(taus)} entries; budget is {MAX_SOLVE_BLOCK}"
+        )
     reduced = materials.reduce_scene(scene)
     engine = IndicatorEngine(reduced, mesh)
     results = []

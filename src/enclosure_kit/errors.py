@@ -19,30 +19,15 @@ class EnclosureKitError(Exception):
     exit_code = EXIT_NUMERICAL
 
 
-class InvalidDirectionError(EnclosureKitError, ValueError):
-    """A direction vector is not unit length within tolerance."""
-
-    exit_code = EXIT_CONFIG
-
-
 class InvalidParameterError(EnclosureKitError, ValueError):
-    """A scalar or structural argument violates its contract."""
+    """An argument violates its contract: a non-unit direction, a constant
+    out of range, or arrays and objects from different meshes."""
 
     exit_code = EXIT_CONFIG
-
-
-class InvalidConstantsError(EnclosureKitError, ValueError):
-    """Nonpositive constants passed where positive ones are required."""
-
-    exit_code = EXIT_CONFIG
-
-
-class DegenerateBackgroundError(EnclosureKitError, ValueError):
-    """Background constants make the reduction divisor vanish."""
 
 
 class EmptySlabError(EnclosureKitError):
-    """The probing slab contains no inclusion material."""
+    """The scene has no inclusions, so no probing slab holds material."""
 
     exit_code = EXIT_REGIME_EMPTY
 
@@ -70,10 +55,6 @@ class SolveError(EnclosureKitError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class InterfaceError(EnclosureKitError):
-    """Objects from different meshes or systems were mixed."""
 
 
 class ProbeResolutionError(EnclosureKitError):

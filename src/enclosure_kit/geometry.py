@@ -19,11 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateHullError,
-    InvalidDirectionError,
-    InvalidParameterError,
-)
+from .errors import DegenerateHullError, InvalidParameterError
 
 UNIT_TOL = 1e-12
 # bound on point coordinates and shape sizes: a product of two stays finite
@@ -47,7 +43,7 @@ def _check_unit(theta) -> np.ndarray:
     t = _as_point(theta)
     norm = math.hypot(t[0], t[1])
     if abs(norm - 1.0) > UNIT_TOL:
-        raise InvalidDirectionError(
+        raise InvalidParameterError(
             f"direction {tuple(t)} has norm {norm!r}, not unit within {UNIT_TOL}"
         )
     return t

@@ -19,17 +19,13 @@ operation is a pure function, so concurrent use is safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateBackgroundError,
-    EmptySlabError,
-    InvalidConstantsError,
-    InvalidParameterError,
-)
+from .errors import EmptySlabError, InvalidParameterError
 from .geometry import DirectionFrame, Shape
 
 # labels for the results whose hypotheses a regime report checks
@@ -217,8 +213,11 @@ def reduce_scene(scene: MaterialScene) -> ReducedScene:
     sigma0, eps0, omega = scene.sigma0, scene.eps0, scene.omega
     # products, not **: a float power that overflows raises OverflowError
     denom = sigma0 * sigma0 + (omega * omega) * (eps0 * eps0)
-    if denom == 0.0:
-        raise DegenerateBackgroundError("sigma0^2 + omega^2*eps0^2 vanishes")
+    # below the smallest normal float the squares have underflowed
+    if not denom >= sys.float_info.min:
+        raise InvalidParameterError(
+            "sigma0^2 + omega^2*eps0^2 underflows; the background constants are too small"
+        )
     reduced = []
     for k, inc in enumerate(scene.inclusions):
         a = (sigma0 * inc.alpha + omega * omega * eps0 * inc.beta) * (1.0 / denom)
@@ -242,24 +241,6 @@ class Jump(Enum):
     NONE = "none"
 
 
-def _slab_inclusion_indices(
-    scene: MaterialScene, frame: DirectionFrame, delta: float
-) -> list[int]:
-    if not delta > 0.0:
-        raise InvalidParameterError("slab thickness delta must be > 0")
-    if not scene.inclusions:
-        raise EmptySlabError("scene has no inclusions: the probing slab is empty")
-    h = scene_support(scene, frame.theta)
-    hit = [
-        k
-        for k, inc in enumerate(scene.inclusions)
-        if inc.shape.support(frame.theta) > h - delta
-    ]
-    if not hit:
-        raise EmptySlabError("no inclusion material inside the probing slab")
-    return hit
-
-
 def check_jump(
     scene: MaterialScene, frame: DirectionFrame, delta: float
 ) -> tuple[Jump, float | None]:
@@ -269,7 +250,15 @@ def check_jump(
     uniformly over material in the slab; (NEGATIVE, C) for -a; otherwise
     (NONE, None).  C is the exact infimum over the slab regions.
     """
-    idx = _slab_inclusion_indices(scene, frame, delta)
+    if not delta > 0.0:
+        raise InvalidParameterError("slab thickness delta must be > 0")
+    h = scene_support(scene, frame.theta)
+    # >=, not >: the inclusion attaining h stays in when h - delta rounds to h
+    idx = [
+        k
+        for k, inc in enumerate(scene.inclusions)
+        if inc.shape.support(frame.theta) >= h - delta
+    ]
     reduced = reduce_scene(scene)
     lo = min(eig_sym2(reduced.inclusions[k].a)[0] for k in idx)
     hi = max(eig_sym2(reduced.inclusions[k].a)[1] for k in idx)
@@ -302,9 +291,9 @@ def frequency_bound(m: float, c_theta: float, big_m: float) -> float:
     Returns +inf when M = 0 (no reactive contrast).
     """
     if not (m > 0.0 and c_theta > 0.0):
-        raise InvalidConstantsError("m and C_theta must be > 0")
+        raise InvalidParameterError("m and C_theta must be > 0")
     if big_m < 0.0:
-        raise InvalidConstantsError("M must be >= 0")
+        raise InvalidParameterError("M must be >= 0")
     if big_m == 0.0:
         return math.inf
     return math.sqrt(m * c_theta) / big_m
@@ -319,8 +308,11 @@ def pq_weights(sigma0: float, eps0: float, omega: float) -> tuple[float, float]:
     if not (sigma0 > 0.0 and eps0 > 0.0 and omega > 0.0):
         raise InvalidParameterError("pq_weights requires sigma0, eps0, omega > 0")
     denom = sigma0 * sigma0 + (omega * omega) * (eps0 * eps0)
-    if not math.isfinite(denom):
-        raise InvalidParameterError("sigma0^2 + omega^2*eps0^2 is not finite")
+    if not sys.float_info.min <= denom < math.inf:
+        raise InvalidParameterError(
+            "sigma0^2 + omega^2*eps0^2 underflows or overflows; "
+            "the background constants are too small or too large"
+        )
     return sigma0 * sigma0 / denom, (omega * omega) * (eps0 * eps0) / denom
 
 
@@ -336,7 +328,7 @@ def similarity_check(
     if not scene.sigma0 > 0.0:
         raise InvalidParameterError("similarity condition requires sigma0 > 0")
     if not (m > 0.0 and c_theta > 0.0):
-        raise InvalidConstantsError("m and C_theta must be > 0")
+        raise InvalidParameterError("m and C_theta must be > 0")
     r = 0.0
     for k in range(len(scene.inclusions)):
         rel = scene.sigma_on(k) * (1.0 / scene.sigma0) - scene.eps_on(k) * (

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dznrm2
 
-from .errors import InterfaceError, InvalidParameterError, MeshError, SolveError
+from .errors import InvalidParameterError, MeshError, SolveError
 from .materials import MaterialScene, ReducedScene
 from .meshing import Mesh
 
@@ -78,7 +79,7 @@ def assemble(
     """
     coeff = np.asarray(coeff, dtype=complex)
     if coeff.shape != (len(triangles), 2, 2):
-        raise InterfaceError("coefficient field does not match the triangles")
+        raise InvalidParameterError("coefficient field does not match the triangles")
     p = vertices[triangles]
     x, y = p[:, :, 0], p[:, :, 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
@@ -96,6 +97,14 @@ def assemble(
         (k_local.ravel(), (rows, cols)), shape=(len(vertices), len(vertices))
     )
     return k.tocsr()
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """2-norm of each column of ``a`` (of a vector: its norm).  BLAS dznrm2
+    scales as it sums, so entries near 1e200 do not square to infinity."""
+    cols = np.asfortranarray(a if a.ndim == 2 else a[:, None])
+    norms = [dznrm2(cols[:, j]) if len(cols) else 0.0 for j in range(cols.shape[1])]
+    return np.array(norms).reshape(a.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -155,15 +164,15 @@ class DirichletSystem:
         return x, rel
 
     def _relative_residual(self, u_i: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        res = np.linalg.norm(self.K_ii @ u_i - rhs, axis=0)
-        scale = np.linalg.norm(rhs, axis=0)
+        res = _column_norms(self.K_ii @ u_i - rhs)
+        scale = _column_norms(rhs)
         return np.where(scale > 0.0, res / np.where(scale > 0.0, scale, 1.0), res)
 
     def solve_dirichlet(self, f: np.ndarray) -> DirichletSolution:
         """Solve one Dirichlet problem; trace values follow boundary order."""
         f = np.asarray(f, dtype=complex)
         if f.shape != (len(self.boundary),):
-            raise InterfaceError(
+            raise InvalidParameterError(
                 f"trace has shape {f.shape}, boundary has {len(self.boundary)} values"
             )
         u_i, rel = self._solve_checked(-(self.K_ib @ f))
@@ -181,7 +190,7 @@ class DirichletSystem:
         """
         r = np.asarray(rhs, dtype=complex)
         if r.shape[0] != self.mesh.num_vertices:
-            raise InterfaceError("interior right-hand side must be a full nodal vector")
+            raise InvalidParameterError("interior right-hand side must be a full nodal vector")
         x = np.zeros(r.shape, dtype=complex)
         x[self.interior] = self._solve_checked(r[self.interior])[0]
         return x
@@ -199,17 +208,17 @@ def dtn_pairing(
     extension gives the same value up to the interior residual.
     """
     if solution.mesh is not system.mesh:
-        raise InterfaceError("solution and system come from different meshes")
+        raise InvalidParameterError("solution and system come from different meshes")
     g = np.asarray(g, dtype=complex)
     if g.shape != (len(system.boundary),):
-        raise InterfaceError("boundary data does not match the mesh boundary")
+        raise InvalidParameterError("boundary data does not match the mesh boundary")
     if extension is None:
         v = np.zeros(system.mesh.num_vertices, dtype=complex)
         v[system.boundary] = g
     else:
         v = np.asarray(extension, dtype=complex)
         if v.shape != (system.mesh.num_vertices,):
-            raise InterfaceError("extension must be a full nodal vector")
+            raise InvalidParameterError("extension must be a full nodal vector")
         if np.max(np.abs(v[system.boundary] - g)) > 1e-10 * (1.0 + np.max(np.abs(g))):
             raise InvalidParameterError("extension does not extend the given trace")
     return complex(np.dot(v, system.K @ solution.u))
@@ -228,7 +237,7 @@ def difference_pairing(
     the pairing scale; the local form keeps full relative precision.
     """
     if sys_a.mesh is not sys_b.mesh:
-        raise InterfaceError("systems must share one mesh")
+        raise InvalidParameterError("systems must share one mesh")
     u_a = sys_a.solve_dirichlet(f).u
     v_g = sys_b.solve_dirichlet(g).u
     delta_k = (sys_a.K - sys_b.K).tocsr()

@@ -8,8 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enclosure_kit import cli, meshing
-from enclosure_kit.errors import ConfigError, EnclosureKitError, InvalidParameterError
+from enclosure_kit import cli, enclosure, meshing
+from enclosure_kit.errors import (
+    ConfigError,
+    EnclosureKitError,
+    EstimationError,
+    InvalidParameterError,
+)
 from enclosure_kit.geometry import Disk
 from enclosure_kit.materials import Inclusion, MaterialScene, SymMat2
 
@@ -138,16 +143,12 @@ README_EXIT_CODES = {
     "EnclosureKitError": 3,
     "ConfigError": 1,
     "InvalidParameterError": 1,
-    "InvalidDirectionError": 1,
-    "InvalidConstantsError": 1,
     "ProbeResolutionError": 1,
     "ResourceLimitError": 1,
     "EmptySlabError": 2,
-    "DegenerateBackgroundError": 3,
     "DegenerateHullError": 3,
     "MeshError": 3,
     "SolveError": 3,
-    "InterfaceError": 3,
     "EstimationError": 3,
 }
 
@@ -252,6 +253,47 @@ class TestConfigParsing:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["reduce", "check", "sweep"])
+    def test_underflowing_background_is_one_error_line(self, tmp_path, capsys, command):
+        # sigma0^2 + omega^2*eps0^2 underflows to 0: refused like an overflow
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["material"]["sigma0"] = raw["material"]["omega"] = 1e-170
+        path = write_config(tmp_path, raw)
+        args = [command, "--config", path]
+        if command == "sweep":
+            args += ["--out", str(tmp_path / "o")]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "too small" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("sweep", "n_tau"), ("check", "n_directions"), ("sweep", "n_directions")],
+    )
+    def test_huge_sample_count_is_one_error_line(self, tmp_path, capsys, command, key):
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["sweep"][key] = 10**15
+        path = write_config(tmp_path, raw)
+        args = [command, "--config", path]
+        if command == "sweep":
+            args += ["--out", str(tmp_path / "o")]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: sweep.{key}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key", ["n_tau", "n_directions"])
+    def test_sample_count_cap(self, key):
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["sweep"][key] = cli.MAX_SAMPLES
+        assert getattr(cli.parse_config(raw), key) == cli.MAX_SAMPLES
+        raw["sweep"][key] = cli.MAX_SAMPLES + 1
+        with pytest.raises(ConfigError, match=f"sweep.{key}"):
+            cli.parse_config(raw)
+
     @pytest.mark.parametrize("command", ["check", "sweep"])
     def test_non_coercive_static_scene_rejected(self, tmp_path, capsys, command):
         # omega = 0 leaves sigma0*I + alpha as the whole operator on the inclusion
@@ -336,6 +378,19 @@ class TestCheckCommand:
         path = write_config(tmp_path, raw)
         assert cli.main(["check", "--config", path]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_tiny_delta_keeps_the_inclusion(self, tmp_path, capsys, command):
+        # h - delta rounds to h: the inclusion attaining h must stay in the slab
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["sweep"]["delta"] = 1e-20
+        path = write_config(tmp_path, raw)
+        args = [command, "--config", path]
+        if command == "sweep":
+            args += ["--out", str(tmp_path / "o")]
+        assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "Thm1.1'" in captured.out
+
 
 class TestSweepCommand:
     def test_writes_csv_trio(self, tmp_path, capsys):
@@ -376,6 +431,49 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "largest admissible tau" in err
+
+    def test_solve_block_over_budget(self, tmp_path, capsys):
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["sweep"]["n_tau"] = cli.MAX_SAMPLES
+        path = write_config(tmp_path, raw)
+        out_dir = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "budget" in captured.err
+        assert not out_dir.exists()
+
+    def test_huge_contrast_prints_no_nan(self, tmp_path, capsys):
+        # entries near 1e200 square to infinity in a naive residual norm
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["material"]["inclusions"][0]["alpha"] = [1e200, 0.0, 1e200]
+        path = write_config(tmp_path, raw)
+        out_dir = tmp_path / "o"
+        cli.main(["sweep", "--config", path, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert captured.err == "" and "nan" not in captured.out
+        for name in ("indicator.csv", "support.csv", "hull.csv"):
+            assert "nan" not in (out_dir / name).read_text().lower()
+
+    def test_hull_failure_still_writes_outputs(self, tmp_path, capsys, monkeypatch):
+        fitted = []
+        fit = enclosure.estimate_support
+
+        def two_fits(curve):
+            if len(fitted) == 2:
+                raise EstimationError("no fit")
+            fitted.append(fit(curve))
+            return fitted[-1]
+
+        monkeypatch.setattr(enclosure, "estimate_support", two_fits)
+        path = write_config(tmp_path, CHEAP_SWEEP)
+        out_dir = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out_dir)]) == 3
+        out = capsys.readouterr().out
+        assert "estimated support on 2/8 directions" in out
+        # the sweep's hull_error: two half planes cannot bound a hull
+        assert out.splitlines()[-1].startswith("hull not recovered: need at least 3")
+        assert len((out_dir / "support.csv").read_text().splitlines()) == 1 + 8
+        assert (out_dir / "hull.csv").read_text().splitlines() == ["vertex,x,y"]
 
     def test_determinism_byte_identical(self, tmp_path):
         path = write_config(tmp_path, CHEAP_SWEEP)

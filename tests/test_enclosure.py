@@ -18,6 +18,7 @@ from enclosure_kit.errors import (
     EstimationError,
     InvalidParameterError,
     ProbeResolutionError,
+    ResourceLimitError,
 )
 from enclosure_kit.geometry import (
     AxisEllipse,
@@ -410,6 +411,17 @@ class TestSweep:
         taus = np.linspace(2.0, 1.01 * max_admissible_tau(coarse_mesh), 9)
         with pytest.raises(ProbeResolutionError):
             sweep(centered_scene(), coarse_mesh, 8, taus)
+
+    def test_solve_block_over_budget_raises_before_factorization(
+        self, coarse_mesh, monkeypatch
+    ):
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factorized for an over-budget sweep")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
+        n_tau = enclosure.MAX_SOLVE_BLOCK // coarse_mesh.num_vertices + 1
+        with pytest.raises(ResourceLimitError, match="budget"):
+            sweep(centered_scene(), coarse_mesh, 8, np.linspace(2.0, 8.0, n_tau))
 
     def test_rectangle_domain_probing(self):
         from enclosure_kit.geometry import Rectangle

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enclosure_kit.errors import (
-    DegenerateHullError,
-    InvalidDirectionError,
-    InvalidParameterError,
-)
+from enclosure_kit.errors import DegenerateHullError, InvalidParameterError
 from enclosure_kit.geometry import (
     AxisEllipse,
     ConvexPolygon,
@@ -19,6 +15,7 @@ from enclosure_kit.geometry import (
     UnitDisk,
     hausdorff_support_distance,
     hull_from_support,
+    max_point_norm,
     require_margin,
     uniform_directions,
 )
@@ -63,9 +60,9 @@ class TestPerp:
             assert abs(np.dot(DirectionFrame(t).theta_perp, t)) < 1e-15
 
     def test_rejects_non_unit(self):
-        with pytest.raises(InvalidDirectionError):
+        with pytest.raises(InvalidParameterError):
             DirectionFrame((1.0, 1.0))
-        with pytest.raises(InvalidDirectionError):
+        with pytest.raises(InvalidParameterError):
             DirectionFrame((1.0 + 1e-9, 0.0))
 
 
@@ -261,6 +258,38 @@ class TestDomains:
         require_margin(dom, Disk((0.3, 0.0), 0.2))  # clearance 0.5 >= 0.2
         with pytest.raises(InvalidParameterError):
             require_margin(dom, Disk((0.7, 0.0), 0.2))  # clearance 0.1 < 0.2
+
+    def test_max_point_norm_polygon(self):
+        poly = ConvexPolygon(((0.1, -0.2), (0.5, 0.1), (0.2, 0.4)))
+        assert max_point_norm(poly) == math.hypot(0.5, 0.1)
+
+    @pytest.mark.parametrize(
+        "ellipse",
+        [AxisEllipse((0.3, -0.1), 0.25, 0.1), AxisEllipse((-0.2, 0.35), 0.05, 0.3)],
+    )
+    def test_max_point_norm_ellipse_is_certified(self, ellipse):
+        # a fine boundary sampling is within 1e-11 of the true max |x|
+        phi = np.linspace(0.0, 2.0 * math.pi, 1_000_001)
+        x = ellipse.center[0] + ellipse.semi_a * np.cos(phi)
+        y = ellipse.center[1] + ellipse.semi_b * np.sin(phi)
+        true_max = float(np.max(np.hypot(x, y)))
+        bound = max_point_norm(ellipse)
+        assert true_max <= bound <= true_max * (1.0 + 1e-7)
+
+    @pytest.mark.parametrize("gap, fits", [(1e-6, True), (-1e-6, False)])
+    def test_margin_at_the_edge(self, gap, fits):
+        # the unit disk needs max |x| <= 0.8: just inside passes, just outside fails
+        reach = 0.8 - gap
+        shapes = [
+            ConvexPolygon(((0.5, -0.2), (reach, 0.0), (0.5, 0.2))),
+            AxisEllipse((0.3, 0.0), reach - 0.3, 0.2),
+        ]
+        for shape in shapes:
+            if fits:
+                require_margin(UnitDisk(), shape)
+            else:
+                with pytest.raises(InvalidParameterError, match="outer boundary"):
+                    require_margin(UnitDisk(), shape)
 
     def test_margin_rectangle(self):
         dom = Rectangle(0.0, 1.0, 0.0, 1.0)

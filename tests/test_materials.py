@@ -4,11 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from enclosure_kit.errors import (
-    EmptySlabError,
-    InvalidConstantsError,
-    InvalidParameterError,
-)
+from enclosure_kit.errors import EmptySlabError, InvalidParameterError
 from enclosure_kit.geometry import AxisEllipse, DirectionFrame, Disk
 from enclosure_kit.materials import (
     Inclusion,
@@ -135,6 +131,12 @@ class TestReduce:
         with pytest.raises(InvalidParameterError, match="inclusion 0"):
             reduce_scene(scene_with(SymMat2.identity(), SymMat2.zero(), omega=1e200))
 
+    def test_underflowing_background_rejected(self):
+        # sigma0^2 + omega^2*eps0^2 underflows to 0, whose reciprocal is undefined
+        scene = scene_with(SymMat2.identity(), SymMat2.zero(), sigma0=1e-170, omega=1e-170)
+        with pytest.raises(InvalidParameterError, match="too small"):
+            reduce_scene(scene)
+
 
 class TestSceneValidation:
     def test_rejects_bad_eps0(self):
@@ -253,6 +255,14 @@ class TestCheckJump:
         jump_wide, _ = check_jump(scene, E1, 0.9)
         assert jump_wide is Jump.NONE
 
+    def test_tiny_delta_keeps_leading_inclusion(self):
+        # below half an ulp of h, h - delta rounds to h; the slab keeps the
+        # inclusion that attains h
+        scene = scene_with(SymMat2.identity(), SymMat2.zero())
+        h = scene_support(scene, E1.theta)
+        assert h - 1e-20 == h
+        assert check_jump(scene, E1, 1e-20) == (Jump.POSITIVE, pytest.approx(0.5))
+
     def test_equivalence_with_quadratic_form_scan(self):
         rng = np.random.default_rng(17)
         ang = 2.0 * math.pi * rng.random(10_000)
@@ -322,9 +332,9 @@ class TestFrequencyBound:
         assert frequency_bound(1.0, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_invalid(self):
-        with pytest.raises(InvalidConstantsError):
+        with pytest.raises(InvalidParameterError):
             frequency_bound(0.0, 1.0, 1.0)
-        with pytest.raises(InvalidConstantsError):
+        with pytest.raises(InvalidParameterError):
             frequency_bound(1.0, -1.0, 1.0)
 
 
@@ -362,6 +372,10 @@ class TestPQWeights:
             pq_weights(1.0, 1.0, 0.0)
         with pytest.raises(InvalidParameterError):
             pq_weights(1.0, 1.0, 1e200)
+
+    def test_underflowing_denominator_rejected(self):
+        with pytest.raises(InvalidParameterError, match="too small"):
+            pq_weights(1e-170, 1.0, 1e-170)
 
 
 class TestSimilarity:

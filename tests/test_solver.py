@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from enclosure_kit.errors import InterfaceError, MeshError, SolveError
+from enclosure_kit.errors import InvalidParameterError, MeshError, SolveError
 from enclosure_kit.geometry import Disk, Rectangle, UnitDisk
 from enclosure_kit.materials import Inclusion, MaterialScene, SymMat2, reduce_scene
-from enclosure_kit.meshing import generate_mesh
+from enclosure_kit.meshing import Mesh, generate_mesh
 from enclosure_kit.solver import (
     DirichletSystem,
     assemble,
@@ -68,7 +68,7 @@ class TestAssembly:
         assert np.max(np.abs(row_sums)) < 1e-13
 
     def test_mismatched_field(self, square_mesh):
-        with pytest.raises(InterfaceError):
+        with pytest.raises(InvalidParameterError):
             assemble_on(square_mesh, np.zeros((3, 2, 2), dtype=complex))
 
     def test_empty_triangle_set(self):
@@ -179,6 +179,28 @@ class TestDirichletSolve:
         ]
         assert np.linalg.norm(res) / np.linalg.norm(rhs) < 1e-10
 
+    def test_huge_right_hand_side(self, square_mesh):
+        # entries near 1e200 square to infinity in a naive residual norm
+        system = DirichletSystem(square_mesh, identity_field(square_mesh))
+        rhs = np.zeros(square_mesh.num_vertices, dtype=complex)
+        rhs[square_mesh.interior_vertices()] = 1.0
+        x = system.solve_interior(1e200 * rhs)
+        assert np.all(np.isfinite(x))
+        assert np.allclose(x / 1e200, system.solve_interior(rhs), rtol=1e-12, atol=0.0)
+
+    def test_mesh_without_interior_vertices(self):
+        # the eliminated system is 0 x 0; its residual is that of no entries
+        mesh = Mesh(
+            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            triangles=np.array([[0, 1, 2]]),
+            boundary_vertices=np.arange(3),
+            domain=UNIT_SQUARE,
+        )
+        sol = DirichletSystem(mesh, identity_field(mesh)).solve_dirichlet(
+            np.array([1.0, 2.0, 3.0], dtype=complex)
+        )
+        assert np.array_equal(sol.u, [1.0, 2.0, 3.0]) and sol.residual_norm == 0.0
+
     def test_nan_right_hand_side_raises(self, square_mesh):
         # a NaN residual must fail the contract, not compare as within it
         system = DirichletSystem(square_mesh, identity_field(square_mesh))
@@ -234,7 +256,7 @@ class TestDtnPairing:
         sys_a = DirichletSystem(square_mesh, identity_field(square_mesh))
         sys_b = DirichletSystem(other, identity_field(other))
         sol = sys_b.solve_dirichlet(boundary_coordinate(other))
-        with pytest.raises(InterfaceError):
+        with pytest.raises(InvalidParameterError):
             dtn_pairing(sys_a, sol, boundary_coordinate(square_mesh))
 
 
