@@ -26,7 +26,6 @@ from .errors import (
     EXIT_OK,
     EXIT_REGIME_EMPTY,
     ConfigError,
-    EmptySlabError,
     EnclosureKitError,
     InvalidParameterError,
 )
@@ -36,7 +35,6 @@ from .geometry import (
     Disk,
     Domain,
     Rectangle,
-    Shape,
     UnitDisk,
     require_margin,
     uniform_directions,
@@ -109,53 +107,43 @@ def _symmat(value, path: str) -> SymMat2:
     return SymMat2(*(_number(v, f"{path}[{i}]") for i, v in enumerate(value)))
 
 
-def _parse_shape(d: dict, path: str) -> Shape:
+def _points(value, path: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of [x, y]")
+    return tuple(_point(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+# `type` -> (class, converter per field); the other keys of a tagged object
+# are the class's field names, converted in this order
+SHAPE_TYPES = {
+    "disk": (Disk, {"center": _point, "radius": _number}),
+    "axis_ellipse": (AxisEllipse, {"center": _point, "semi_a": _number, "semi_b": _number}),
+    "convex_polygon": (ConvexPolygon, {"vertices": _points}),
+}
+DOMAIN_TYPES = {
+    "unit_disk": (UnitDisk, {}),
+    "rectangle": (
+        Rectangle,
+        {"x_min": _number, "x_max": _number, "y_min": _number, "y_max": _number},
+    ),
+}
+
+
+def _parse_tagged(d: dict, path: str, types: dict, what: str):
+    """Build the object a ``{"type": ..., field: ...}`` config entry names."""
     if not isinstance(d, dict) or "type" not in d:
         raise ConfigError(f"{path}: expected an object with a 'type' key")
     kind = d["type"]
+    # a list or object `type` is unhashable, so test for a string first
+    if not isinstance(kind, str) or kind not in types:
+        raise ConfigError(f"{path}.type: unknown {what} type {kind!r}")
+    cls, fields = types[kind]
+    _require_keys(d, path, ("type", *fields))
+    args = {name: convert(d[name], f"{path}.{name}") for name, convert in fields.items()}
     try:
-        if kind == "disk":
-            _require_keys(d, path, ("type", "center", "radius"))
-            return Disk(_point(d["center"], path + ".center"), _number(d["radius"], path + ".radius"))
-        if kind == "axis_ellipse":
-            _require_keys(d, path, ("type", "center", "semi_a", "semi_b"))
-            return AxisEllipse(
-                _point(d["center"], path + ".center"),
-                _number(d["semi_a"], path + ".semi_a"),
-                _number(d["semi_b"], path + ".semi_b"),
-            )
-        if kind == "convex_polygon":
-            _require_keys(d, path, ("type", "vertices"))
-            if not isinstance(d["vertices"], list):
-                raise ConfigError(f"{path}.vertices: expected a list of [x, y]")
-            verts = tuple(
-                _point(v, f"{path}.vertices[{i}]") for i, v in enumerate(d["vertices"])
-            )
-            return ConvexPolygon(verts)
+        return cls(**args)
     except InvalidParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.type: unknown shape type {kind!r}")
-
-
-def _parse_domain(d: dict, path: str) -> Domain:
-    if not isinstance(d, dict) or "type" not in d:
-        raise ConfigError(f"{path}: expected an object with a 'type' key")
-    kind = d["type"]
-    try:
-        if kind == "unit_disk":
-            _require_keys(d, path, ("type",))
-            return UnitDisk()
-        if kind == "rectangle":
-            _require_keys(d, path, ("type", "x_min", "x_max", "y_min", "y_max"))
-            return Rectangle(
-                _number(d["x_min"], path + ".x_min"),
-                _number(d["x_max"], path + ".x_max"),
-                _number(d["y_min"], path + ".y_min"),
-                _number(d["y_max"], path + ".y_max"),
-            )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.type: unknown domain type {kind!r}")
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
@@ -163,7 +151,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     _require_keys(
         raw, "config", ("domain", "material", "sweep", "mesh"), ("output_dir",)
     )
-    domain = _parse_domain(raw["domain"], "domain")
+    domain = _parse_tagged(raw["domain"], "domain", DOMAIN_TYPES, "domain")
 
     mat = raw["material"]
     _require_keys(mat, "material", ("sigma0", "eps0", "omega", "inclusions"))
@@ -175,7 +163,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         _require_keys(inc, path, ("shape", "alpha", "beta"))
         inclusions.append(
             Inclusion(
-                shape=_parse_shape(inc["shape"], path + ".shape"),
+                shape=_parse_tagged(inc["shape"], path + ".shape", SHAPE_TYPES, "shape"),
                 alpha=_symmat(inc["alpha"], path + ".alpha"),
                 beta=_symmat(inc["beta"], path + ".beta"),
             )
@@ -335,12 +323,7 @@ def cmd_check(config: ScenarioConfig, direction: int | None = None, as_json: boo
     all_ok = True
     json_rows = []
     for k in indices:
-        try:
-            report = materials.classify_regime(config.scene, frames[k], config.delta)
-        except EmptySlabError as exc:
-            print(f"direction {k}: empty slab: {exc}")
-            all_ok = False
-            continue
+        report = materials.classify_regime(config.scene, frames[k], config.delta)
         if as_json:
             json_rows.append(
                 {

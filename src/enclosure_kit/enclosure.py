@@ -37,8 +37,9 @@ from .solver import DirichletSystem, assemble, reduced_field
 # probe oscillation must be resolved: tau * h_max <= RESOLUTION_GATE
 RESOLUTION_GATE = 0.5
 UNDERFLOW_FLOOR = 1e-300
-# largest solve block, vertices x taus: 8M complex entries are 128 MB,
-# and a solve holds a few arrays of that size at once
+# largest solve block, interior vertices x taus, checked on the vertex
+# count, which bounds it: 8M complex entries are 128 MB, and a solve holds
+# a few arrays of that size at once
 MAX_SOLVE_BLOCK = 8_000_000
 
 NO_INCLUSION_FLAG = "no-inclusion"
@@ -155,6 +156,8 @@ class IndicatorEngine:
     inclusion triangles: it has no entries in any other row or column.
     Probes are evaluated on those nodes alone, and the source, the
     scattered right-hand side and the pairing all come from that block.
+    w is solved on the interior unknowns only, so every node must be an
+    interior vertex; ``node_rows`` holds their rows among those unknowns.
     One factorized system serves every direction and tau.
     """
 
@@ -176,6 +179,12 @@ class IndicatorEngine:
         nodes = np.unique(delta_k.indices)
         self.nodes = verts[nodes]
         self.contrast = delta_k[nodes][:, nodes]
+        if np.any(np.isin(self.nodes, mesh.boundary_vertices)):
+            raise InvalidParameterError(
+                "an inclusion reaches the domain boundary on this mesh; "
+                "the method needs its closure inside the domain"
+            )
+        self.node_rows = np.searchsorted(self.system_inclusion.interior, self.nodes)
 
     def pairing_differences(self, frame: DirectionFrame, taus) -> np.ndarray:
         """Complex pairing differences for the shifted probes, one per tau."""
@@ -187,12 +196,12 @@ class IndicatorEngine:
             [Probe(frame, float(tau), shift).evaluate(points) for tau in taus]
         )
         source = self.contrast @ u0
-        rhs = np.zeros((self.mesh.num_vertices, len(taus)), dtype=complex)
-        rhs[self.nodes] = -source
-        w = self.system_inclusion.solve_interior(rhs)
+        rhs = np.zeros((len(self.system_inclusion.interior), len(taus)), dtype=complex)
+        rhs[self.node_rows] = -source
+        w, _ = self.system_inclusion.solve_interior(rhs)
         # two separate products: contrast @ (u0 + w) would round differently
         return np.einsum(
-            "vk,vk->k", np.conj(u0), source + self.contrast @ w[self.nodes]
+            "vk,vk->k", np.conj(u0), source + self.contrast @ w[self.node_rows]
         )
 
     def curve(self, frame: DirectionFrame, taus) -> IndicatorCurve:

@@ -285,18 +285,24 @@ def bounds_mM(scene: MaterialScene) -> tuple[float, float]:
     return m, big_m
 
 
+def _sqrt_mc(m: float, c_theta: float) -> float:
+    """sqrt(m*C), taken as sqrt(m)*sqrt(C) so that m*C cannot overflow."""
+    if not (m > 0.0 and c_theta > 0.0):
+        raise InvalidParameterError("m and C_theta must be > 0")
+    return math.sqrt(m) * math.sqrt(c_theta)
+
+
 def frequency_bound(m: float, c_theta: float, big_m: float) -> float:
     """Largest admissible omega for the negative-jump result: sqrt(m*C)/M.
 
     Returns +inf when M = 0 (no reactive contrast).
     """
-    if not (m > 0.0 and c_theta > 0.0):
-        raise InvalidParameterError("m and C_theta must be > 0")
+    root = _sqrt_mc(m, c_theta)
     if big_m < 0.0:
         raise InvalidParameterError("M must be >= 0")
     if big_m == 0.0:
         return math.inf
-    return math.sqrt(m * c_theta) / big_m
+    return root / big_m
 
 
 def pq_weights(sigma0: float, eps0: float, omega: float) -> tuple[float, float]:
@@ -327,15 +333,13 @@ def similarity_check(
     """
     if not scene.sigma0 > 0.0:
         raise InvalidParameterError("similarity condition requires sigma0 > 0")
-    if not (m > 0.0 and c_theta > 0.0):
-        raise InvalidParameterError("m and C_theta must be > 0")
+    rhs = 2.0 * _sqrt_mc(m, c_theta)
     r = 0.0
     for k in range(len(scene.inclusions)):
         rel = scene.sigma_on(k) * (1.0 / scene.sigma0) - scene.eps_on(k) * (
             1.0 / scene.eps0
         )
         r = max(r, opnorm_sym2(rel))
-    rhs = 2.0 * math.sqrt(m * c_theta)
     return r, rhs, r < rhs
 
 

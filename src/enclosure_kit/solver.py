@@ -142,13 +142,21 @@ class DirichletSystem:
         except RuntimeError as exc:
             raise SolveError(f"factorization failed: {exc}") from exc
 
-    def _solve_checked(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve K_II x = rhs column by column under the residual contract.
+    def solve_interior(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve K_II x = rhs with zero boundary values, under the residual
+        contract.
 
-        Returns x and the relative residual of each column.  Raises
-        SolveError if any column misses RESIDUAL_TOL after one step of
-        iterative refinement.
+        ``rhs`` has one row per interior vertex, in ``interior`` order (a
+        vector or a batch of columns).  Returns x in the same layout and
+        the relative residual of each column.  Raises SolveError if any
+        column misses RESIDUAL_TOL after one step of iterative refinement.
         """
+        rhs = np.asarray(rhs, dtype=complex)
+        if rhs.ndim not in (1, 2) or len(rhs) != len(self.interior):
+            raise InvalidParameterError(
+                f"right-hand side of shape {rhs.shape} needs one row per "
+                f"interior vertex ({len(self.interior)})"
+            )
         x = self._lu.solve(rhs)
         rel = self._relative_residual(x, rhs)
         # written as "not all within" so that a NaN residual fails too
@@ -175,25 +183,11 @@ class DirichletSystem:
             raise InvalidParameterError(
                 f"trace has shape {f.shape}, boundary has {len(self.boundary)} values"
             )
-        u_i, rel = self._solve_checked(-(self.K_ib @ f))
+        u_i, rel = self.solve_interior(-(self.K_ib @ f))
         u = np.zeros(self.mesh.num_vertices, dtype=complex)
         u[self.interior] = u_i
         u[self.boundary] = f
         return DirichletSolution(u=u, residual_norm=float(rel), mesh=self.mesh)
-
-    def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve K_II x_I = rhs_I with zero boundary values.
-
-        ``rhs`` is a full nodal vector (or a batch of columns); boundary
-        rows are ignored.  Used for locally driven fields such as
-        inclusion-scattering corrections.
-        """
-        r = np.asarray(rhs, dtype=complex)
-        if r.shape[0] != self.mesh.num_vertices:
-            raise InvalidParameterError("interior right-hand side must be a full nodal vector")
-        x = np.zeros(r.shape, dtype=complex)
-        x[self.interior] = self._solve_checked(r[self.interior])[0]
-        return x
 
 
 def dtn_pairing(

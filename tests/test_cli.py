@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -377,6 +378,18 @@ class TestCheckCommand:
         raw["material"]["inclusions"] = []
         path = write_config(tmp_path, raw)
         assert cli.main(["check", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scene has no inclusions\n"
+
+    def test_huge_contrast_keeps_similarity_bound_finite(self, tmp_path, capsys):
+        # m*C_theta overflows near 1e200; sqrt(m)*sqrt(C_theta) does not
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["material"]["inclusions"][0]["alpha"] = [1e200, 0.0, 1e200]
+        path = write_config(tmp_path, raw)
+        assert cli.main(["check", "--config", path, "--direction", "0", "--json"]) == 0
+        rhs = json.loads(capsys.readouterr().out)[0]["report"]["rhs"]
+        assert isinstance(rhs, float) and math.isfinite(rhs)
 
     @pytest.mark.parametrize("command", ["check", "sweep"])
     def test_tiny_delta_keeps_the_inclusion(self, tmp_path, capsys, command):

@@ -165,7 +165,9 @@ class TestIndicator:
             ]
         )
         source = delta_k @ u0
-        w = engine.system_inclusion.solve_interior(-source)
+        interior = engine.system_inclusion.interior
+        w = np.zeros_like(source)
+        w[interior] = engine.system_inclusion.solve_interior(-source[interior])[0]
         reference = np.einsum("vk,vk->k", np.conj(u0), source + delta_k @ w)
 
         raw = engine.pairing_differences(frame, COARSE_TAUS)
@@ -201,6 +203,18 @@ class TestIndicator:
         assert np.array_equal(
             engine.contrast.data.view(np.uint64), block.data.view(np.uint64)
         )
+
+    def test_refuses_inclusion_crossing_the_boundary(self, coarse_mesh):
+        # a library scene that skips require_margin; its boundary nodes
+        # would get no scattering correction
+        scene = MaterialScene(
+            sigma0=1.0,
+            eps0=1.0,
+            omega=1.0,
+            inclusions=(Inclusion(Disk((0.9, 0.0), 0.2), SymMat2.iso(1.0), SymMat2.zero()),),
+        )
+        with pytest.raises(InvalidParameterError, match="domain boundary"):
+            IndicatorEngine(reduce_scene(scene), coarse_mesh)
 
     def test_contrast_assembled_from_triangles_near_inclusion(
         self, reference_mesh, monkeypatch

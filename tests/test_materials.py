@@ -395,6 +395,13 @@ class TestSimilarity:
         assert rhs == pytest.approx(2.0 * math.sqrt(m * c))
         assert holds == (r < rhs)
 
+    def test_huge_constants_keep_the_bound_finite(self):
+        # m*C overflows to inf; the bound itself is finite
+        scene = scene_with(SymMat2.iso(-0.5), SymMat2.zero())
+        _, rhs, holds = similarity_check(scene, 1e200, 1e200)
+        assert rhs == pytest.approx(2e200) and holds
+        assert frequency_bound(1e200, 1e200, 1.0) == pytest.approx(1e200)
+
     def test_requires_positive_sigma0(self):
         scene = scene_with(SymMat2.iso(0.5), SymMat2.zero(), sigma0=0.0)
         with pytest.raises(InvalidParameterError):

@@ -1,4 +1,5 @@
-"""Every name the library defines has a reader outside tests.
+"""Every name the library defines has a reader outside tests, and every
+error it raises is typed.
 
 A function or class counts as used when ``src/enclosure_kit`` or
 ``benchmarks`` refers to it, as a plain name or as an attribute; a
@@ -79,3 +80,35 @@ def test_every_dataclass_field_is_read():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     assert fields - read == set(ALLOWED_FIELDS)
+
+
+def error_classes(library):
+    """EnclosureKitError and every class derived from it in the library."""
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for tree in library
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    typed = {"EnclosureKitError"}
+    while True:
+        grown = typed | {name for name, parents in bases.items() if parents & typed}
+        if grown == typed:
+            return typed
+        typed = grown
+
+
+def test_every_raise_is_typed():
+    """A bad input or resource limit ends as an EnclosureKitError."""
+    typed = error_classes(parsed(LIBRARY))
+    raises, untyped = 0, []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:  # bare re-raise
+                continue
+            raises += 1
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in typed):
+                untyped.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert raises > 0
+    assert untyped == []
