@@ -80,6 +80,18 @@ def _require_resolved(mesh: Mesh, tau: float) -> None:
         )
 
 
+def _check_taus(mesh: Mesh, taus) -> np.ndarray:
+    """A tau grid as a float array: 1-D, non-empty, finite, > 0, strictly
+    increasing, and resolved on the mesh."""
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or len(taus) == 0:
+        raise InvalidParameterError("tau grid must be a non-empty 1-D array")
+    if not (np.all(np.isfinite(taus)) and taus[0] > 0.0 and np.all(np.diff(taus) > 0.0)):
+        raise InvalidParameterError("taus must be finite, > 0 and strictly increasing")
+    _require_resolved(mesh, float(taus[-1]))
+    return taus
+
+
 def cgo_trace(mesh: Mesh, probe: Probe) -> np.ndarray:
     """Probe trace at the boundary vertices, in boundary-loop order.
 
@@ -188,8 +200,7 @@ class IndicatorEngine:
 
     def pairing_differences(self, frame: DirectionFrame, taus) -> np.ndarray:
         """Complex pairing differences for the shifted probes, one per tau."""
-        taus = np.asarray(taus, dtype=float)
-        _require_resolved(self.mesh, float(np.max(taus)))
+        taus = _check_taus(self.mesh, taus)
         shift = self.mesh.domain.support(frame.theta)
         points = self.mesh.vertices[self.nodes]
         u0 = np.column_stack(
@@ -294,16 +305,16 @@ def sweep(
     """Estimate the support function on uniform directions and enclose.
 
     Directions whose regime report has an empty applicable set are flagged
-    "outside proven regime" but still estimated.  An underresolved tau
-    raises ProbeResolutionError, and a solve block of more than
-    MAX_SOLVE_BLOCK entries ResourceLimitError, before any factorization.
+    "outside proven regime" but still estimated.  A malformed tau grid
+    raises InvalidParameterError, an underresolved one
+    ProbeResolutionError, and a solve block of more than MAX_SOLVE_BLOCK
+    entries ResourceLimitError, all before any factorization.
     """
     if n_directions < 8:
         raise InvalidParameterError("sweep needs at least 8 directions")
-    taus = np.asarray(taus, dtype=float)
+    taus = _check_taus(mesh, taus)
     if len(taus) < 8:
         raise InvalidParameterError("sweep needs at least 8 tau samples")
-    _require_resolved(mesh, float(np.max(taus)))
     if mesh.num_vertices * len(taus) > MAX_SOLVE_BLOCK:
         raise ResourceLimitError(
             f"{len(taus)} taus on {mesh.num_vertices} vertices need a solve block of "

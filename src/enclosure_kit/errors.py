@@ -43,7 +43,8 @@ class ResourceLimitError(EnclosureKitError):
 
 
 class MeshError(EnclosureKitError):
-    """Invalid mesh: degenerate or misoriented triangle, or no triangles."""
+    """Invalid mesh: malformed arrays or indices, degenerate or misoriented
+    triangle, or no triangles."""
 
 
 class SolveError(EnclosureKitError):

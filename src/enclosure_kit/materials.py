@@ -222,7 +222,8 @@ def reduce_scene(scene: MaterialScene) -> ReducedScene:
     for k, inc in enumerate(scene.inclusions):
         a = (sigma0 * inc.alpha + omega * omega * eps0 * inc.beta) * (1.0 / denom)
         b = (-eps0 * inc.alpha + sigma0 * inc.beta) * (1.0 / denom)
-        if not all(map(math.isfinite, (a.a11, a.a12, a.a22, b.a11, b.a12, b.a22))):
+        # an overflowing denom makes 1/denom zero, which would zero a and b silently
+        if not all(map(math.isfinite, (a.a11, a.a12, a.a22, b.a11, b.a12, b.a22, denom))):
             raise InvalidParameterError(
                 f"inclusion {k}: reduced tensors a, b are not finite; "
                 "the material constants are too large"

@@ -3,10 +3,11 @@
 Rectangles get a structured grid of cells (roughly half the target edge
 length per side, aspect ratio capped at 2) split along alternating
 diagonals.  The unit disk is meshed as concentric rings: ring k carries 6k
-vertices at uniform angles and radius k/N, stitched to ring k-1 by an
-integer-arithmetic angular merge, so boundary vertices sit exactly on the
-circle and the construction is bit-reproducible.  Inclusion boundaries are
-never meshed conformingly; materials are sampled at triangle centroids.
+vertices at uniform angles and radius k/N, stitched to ring k-1 in the
+order of exact integer angle keys, so boundary vertices sit exactly on the
+circle and the construction is bit-reproducible.  Connectivity is built as
+int64 index arrays.  Inclusion boundaries are never meshed conformingly;
+materials are sampled at triangle centroids.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ MAX_TRIANGLES = 2_000_000
 class Mesh:
     """Conforming triangulation with an identified boundary loop.
 
-    vertices : (nv, 2) float array
-    triangles : (nt, 3) int array, counterclockwise
-    boundary_vertices : indices of boundary vertices, ordered along the loop
+    vertices : (nv, 2) array of finite floats
+    triangles : (nt, 3) integer array of vertex indices, counterclockwise
+    boundary_vertices : distinct indices of boundary vertices, ordered along the loop
     domain : the Domain that was meshed
     h_max : longest edge, computed from the triangles
 
@@ -44,8 +45,15 @@ class Mesh:
     h_max: float = field(init=False)
 
     def __post_init__(self):
-        if len(self.triangles) == 0:
+        v, t, bv = self.vertices, self.triangles, self.boundary_vertices
+        if not (_is_array(v, 2, np.floating) and v.shape[1] == 2 and np.isfinite(v).all()):
+            raise MeshError("vertices must be an (nv, 2) array of finite floats")
+        if not (_is_index_array(t, 2, len(v)) and t.shape[1] == 3):
+            raise MeshError(f"triangles must be an (nt, 3) integer array in [0, {len(v)})")
+        if len(t) == 0:
             raise MeshError("mesh has no triangles")
+        if not (_is_index_array(bv, 1, len(v)) and len(np.unique(bv)) == len(bv)):
+            raise MeshError(f"boundary_vertices must be distinct vertex indices in [0, {len(v)})")
         object.__setattr__(
             self, "h_max", float(np.max(_edge_lengths(self.vertices, self.triangles)))
         )
@@ -76,6 +84,15 @@ class Mesh:
         mask = np.ones(self.num_vertices, dtype=bool)
         mask[self.boundary_vertices] = False
         return np.nonzero(mask)[0]
+
+
+def _is_array(arr, ndim: int, kind) -> bool:
+    return isinstance(arr, np.ndarray) and arr.ndim == ndim and np.issubdtype(arr.dtype, kind)
+
+
+def _is_index_array(arr, ndim: int, nv: int) -> bool:
+    # an integer array with every entry in [0, nv); a negative index would wrap
+    return _is_array(arr, ndim, np.integer) and (arr.size == 0 or 0 <= arr.min() <= arr.max() < nv)
 
 
 def _edge_lengths(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -147,30 +164,18 @@ def _mesh_rectangle(domain: Rectangle, target_h: float) -> Mesh:
     xg, yg = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def vid(i: int, j: int) -> int:
-        return j * (nx + 1) + i
+    ids = np.arange((ny + 1) * (nx + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
+    corners = np.stack([ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]], axis=-1)
+    # corners run v00, v10, v11, v01; cell (i, j) splits along v00-v11 when
+    # i + j is even, else along v10-v01
+    even = (np.add.outer(np.arange(ny), np.arange(nx)) % 2 == 0)[:, :, None]
+    split = np.where(even, corners[..., [0, 1, 2, 0, 2, 3]], corners[..., [0, 1, 3, 1, 2, 3]])
+    tris = split.reshape(-1, 3)
 
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    t = 0
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                tris[t] = (v00, v10, v11)
-                tris[t + 1] = (v00, v11, v01)
-            else:
-                tris[t] = (v00, v10, v01)
-                tris[t + 1] = (v10, v11, v01)
-            t += 2
-
-    loop = (
-        [vid(i, 0) for i in range(nx)]
-        + [vid(nx, j) for j in range(ny)]
-        + [vid(i, ny) for i in range(nx, 0, -1)]
-        + [vid(0, j) for j in range(ny, 0, -1)]
+    # bottom row, right column, top row reversed, left column reversed
+    boundary_vertices = np.concatenate(
+        [ids[0, :-1], ids[:-1, -1], ids[-1, :0:-1], ids[:0:-1, 0]]
     )
-    boundary_vertices = np.array(loop, dtype=np.int64)
     return Mesh(vertices, tris, boundary_vertices, domain)
 
 
@@ -179,24 +184,20 @@ def _ring_start(k: int) -> int:
     return 1 + 3 * k * (k - 1)
 
 
-def _merge_rings(outer: np.ndarray, inner: np.ndarray) -> list[tuple[int, int, int]]:
+def _merge_rings(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Stitch two uniform-angle vertex rings into CCW triangles.
 
-    The walk advances whichever ring has the smaller next angle; with 6k
-    and 6(k-1) uniformly spaced vertices the comparison is exact in
-    integers, so the connectivity is reproducible.
+    Outer step a ends at angle key (a+1)*len(inner) and inner step b at
+    (b+1)*len(outer); the steps are taken in key order, outer first on
+    ties.  The keys are exact integers, so the connectivity is reproducible.
     """
     no, ni = len(outer), len(inner)
-    tris = []
-    a = b = 0
-    while a < no or b < ni:
-        if a < no and (b == ni or (a + 1) * ni <= (b + 1) * no):
-            tris.append((outer[a % no], outer[(a + 1) % no], inner[b % ni]))
-            a += 1
-        else:
-            tris.append((outer[a % no], inner[(b + 1) % ni], inner[b % ni]))
-            b += 1
-    return tris
+    keys = np.concatenate([np.arange(1, no + 1) * ni, np.arange(1, ni + 1) * no])
+    is_outer = np.argsort(keys, kind="stable") < no
+    a = np.cumsum(is_outer) - is_outer
+    b = np.cumsum(~is_outer) - ~is_outer
+    middle = np.where(is_outer, outer[(a + 1) % no], inner[(b + 1) % ni])
+    return np.column_stack([outer[a % no], middle, inner[b % ni]])
 
 
 def _mesh_unit_disk(domain: UnitDisk, target_h: float) -> Mesh:
@@ -213,15 +214,13 @@ def _mesh_unit_disk(domain: UnitDisk, target_h: float) -> Mesh:
         verts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
     vertices = np.vstack(verts)
 
-    tris: list[tuple[int, int, int]] = []
     ring1 = np.arange(_ring_start(1), _ring_start(1) + 6)
-    for j in range(6):
-        tris.append((int(ring1[j]), int(ring1[(j + 1) % 6]), 0))
+    tris = [np.column_stack([ring1, np.roll(ring1, -1), np.zeros(6, dtype=np.int64)])]
     for k in range(2, n_rings + 1):
         outer = np.arange(_ring_start(k), _ring_start(k) + 6 * k)
         inner = np.arange(_ring_start(k - 1), _ring_start(k - 1) + 6 * (k - 1))
-        tris.extend(_merge_rings(outer, inner))
-    triangles = np.array(tris, dtype=np.int64)
+        tris.append(_merge_rings(outer, inner))
+    triangles = np.concatenate(tris)
 
     boundary_vertices = np.arange(_ring_start(n_rings), _ring_start(n_rings) + 6 * n_rings)
     return Mesh(vertices, triangles, boundary_vertices, domain)

@@ -1,9 +1,16 @@
-"""Shared fixtures; the heavy reference engine is built once per session."""
+"""Shared fixtures; the heavy reference engine and the bundled presets'
+sweeps are built once per session."""
+
+import contextlib
+import io
+import time
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from enclosure_kit import enclosure, geometry, materials, meshing
+from enclosure_kit import cli, enclosure, geometry, materials, meshing
 
 REFERENCE_TAUS = np.linspace(4.0, 16.0, 13)
 
@@ -39,6 +46,38 @@ def reference_engine(reference_mesh):
 def coarse_mesh():
     """Unit-disk mesh fine enough for tau up to 8."""
     return meshing.generate_mesh(geometry.UnitDisk(), 0.04)
+
+
+@dataclass(frozen=True)
+class PresetSweep:
+    """One ``enclosure-kit sweep`` of a bundled preset."""
+
+    code: int
+    stdout: str
+    out_dir: Path
+    seconds: float
+
+
+@pytest.fixture(scope="session")
+def preset_sweep(tmp_path_factory):
+    """Run a bundled preset's ``sweep`` once per session, on first request.
+
+    Returns a function of the preset name.  Tests must not write into the
+    output directory: later tests read the same files.
+    """
+    runs = {}
+
+    def run(name: str) -> PresetSweep:
+        if name not in runs:
+            out_dir = tmp_path_factory.mktemp(f"sweep_{name}") / "out"
+            stdout = io.StringIO()
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(["sweep", "--config", cli.scenario_path(name), "--out", str(out_dir)])
+            runs[name] = PresetSweep(code, stdout.getvalue(), out_dir, time.perf_counter() - t0)
+        return runs[name]
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -61,21 +61,6 @@ def record(number, detail):
 _cache = {}
 
 
-def reference_cli_runs(tmp_path_factory):
-    if "cli_runs" not in _cache:
-        config = cli.scenario_path("positive_disk")
-        out_dirs = [
-            tmp_path_factory.mktemp(f"reference_run_{i}") for i in (1, 2)
-        ]
-        t0 = time.perf_counter()
-        code = cli.main(["sweep", "--config", config, "--out", str(out_dirs[0])])
-        elapsed = time.perf_counter() - t0
-        assert code == 0
-        assert cli.main(["sweep", "--config", config, "--out", str(out_dirs[1])]) == 0
-        _cache["cli_runs"] = (out_dirs, elapsed)
-    return _cache["cli_runs"]
-
-
 def negative_mesh():
     if "mesh15" not in _cache:
         _cache["mesh15"] = generate_mesh(UnitDisk(), 0.015)
@@ -239,9 +224,10 @@ def read_csv_rows(path):
         return list(csv.DictReader(f))
 
 
-def test_criterion_06_enclosure_recovery(tmp_path_factory):
-    out_dirs, elapsed = reference_cli_runs(tmp_path_factory)
-    rows = read_csv_rows(out_dirs[0] / "support.csv")
+def test_criterion_06_enclosure_recovery(preset_sweep):
+    run = preset_sweep("positive_disk")
+    assert run.code == 0
+    rows = read_csv_rows(run.out_dir / "support.csv")
     assert len(rows) == 16
     errs = [
         abs(float(r["h_hat"]) - (0.3 * float(r["theta_x"]) + 0.2)) for r in rows
@@ -249,13 +235,13 @@ def test_criterion_06_enclosure_recovery(tmp_path_factory):
     max_err = max(errs)
     assert max_err <= 0.05
 
-    hull_rows = read_csv_rows(out_dirs[0] / "hull.csv")
+    hull_rows = read_csv_rows(run.out_dir / "hull.csv")
     hull = ConvexPolygon(tuple((float(r["x"]), float(r["y"])) for r in hull_rows))
     dist = hausdorff_support_distance(hull, Disk((0.3, 0.0), 0.2))
     assert dist <= 0.06
 
-    assert elapsed <= 300.0
-    record(6, f"max support error {max_err:.4f}, hull Hausdorff {dist:.4f}, {elapsed:.0f}s")
+    assert run.seconds <= 300.0
+    record(6, f"max support error {max_err:.4f}, hull Hausdorff {dist:.4f}, {run.seconds:.0f}s")
 
 
 def test_criterion_07_trichotomy(reference_engine):
@@ -324,10 +310,14 @@ def test_criterion_09_similarity_regime():
     record(9, f"R = 0 similarity scene at omega = 5: max error {max_err:.4f}")
 
 
-def test_criterion_10_determinism(tmp_path_factory):
-    out_dirs, _ = reference_cli_runs(tmp_path_factory)
+def test_criterion_10_determinism(preset_sweep, tmp_path):
+    # the session's run against a second, fresh one
+    first = preset_sweep("positive_disk")
+    assert first.code == 0
+    config = cli.scenario_path("positive_disk")
+    assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 0
     for name in ("indicator.csv", "support.csv", "hull.csv"):
-        b0 = (out_dirs[0] / name).read_bytes()
-        b1 = (out_dirs[1] / name).read_bytes()
+        b0 = (first.out_dir / name).read_bytes()
+        b1 = (tmp_path / "out" / name).read_bytes()
         assert b0 == b1
     record(10, "two reference runs produced byte-identical CSV outputs")

@@ -508,13 +508,10 @@ class TestBundledPresets:
             ("positive_permittivity", 0.07, "Cor2.2"),
         ],
     )
-    def test_recovery_presets(self, tmp_path, name, tolerance, flag):
-        out_dir = tmp_path / name
-        code = cli.main(
-            ["sweep", "--config", cli.scenario_path(name), "--out", str(out_dir)]
-        )
-        assert code == 0
-        rows = (out_dir / "support.csv").read_text().splitlines()[1:]
+    def test_recovery_presets(self, preset_sweep, name, tolerance, flag):
+        run = preset_sweep(name)
+        assert run.code == 0
+        rows = (run.out_dir / "support.csv").read_text().splitlines()[1:]
         errs = []
         for row in rows:
             fields = row.split(",")
@@ -522,13 +519,10 @@ class TestBundledPresets:
             assert flag in fields[6]
         assert max(errs) <= tolerance
 
-    def test_empty_preset(self, tmp_path, capsys):
-        out_dir = tmp_path / "empty"
-        code = cli.main(
-            ["sweep", "--config", cli.scenario_path("empty"), "--out", str(out_dir)]
-        )
-        assert code == 0
-        assert "no inclusion detected" in capsys.readouterr().out
+    def test_empty_preset(self, preset_sweep):
+        run = preset_sweep("empty")
+        assert run.code == 0
+        assert "no inclusion detected" in run.stdout
 
     def test_check_positive_preset(self, capsys):
         assert cli.main(["check", "--config", cli.scenario_path("positive_disk")]) == 0

@@ -255,6 +255,11 @@ class TestIndicator:
         )
         assert raw_def == pytest.approx(raw_engine, rel=5e-2)
 
+    @pytest.mark.parametrize("taus", [[], [[2.0, 3.0]]], ids=["empty", "two-dimensional"])
+    def test_curve_refuses_malformed_tau_grid(self, coarse_engine, taus):
+        with pytest.raises(InvalidParameterError):
+            coarse_engine.curve(E1, taus)
+
     def test_curve_validation(self):
         with pytest.raises(InvalidParameterError):
             IndicatorCurve(
@@ -424,6 +429,19 @@ class TestSweep:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
         taus = np.linspace(2.0, 1.01 * max_admissible_tau(coarse_mesh), 9)
         with pytest.raises(ProbeResolutionError):
+            sweep(centered_scene(), coarse_mesh, 8, taus)
+
+    @pytest.mark.parametrize(
+        "taus",
+        [np.r_[COARSE_TAUS[:-1], np.nan], COARSE_TAUS[::-1]],
+        ids=["nan", "decreasing"],
+    )
+    def test_malformed_tau_grid_raises_before_engine(self, coarse_mesh, monkeypatch, taus):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("built an engine for a malformed tau grid")
+
+        monkeypatch.setattr(enclosure, "IndicatorEngine", no_engine)
+        with pytest.raises(InvalidParameterError):
             sweep(centered_scene(), coarse_mesh, 8, taus)
 
     def test_solve_block_over_budget_raises_before_factorization(

@@ -48,12 +48,12 @@ def assert_rows_match(name, got, want, abs_tols):
 
 
 @pytest.mark.parametrize("preset", PRESETS)
-def test_sweep_matches_golden(tmp_path, capsys, preset):
+def test_sweep_matches_golden(preset_sweep, preset):
     want_dir = GOLDEN / preset
-    out_dir = tmp_path / "out"
-    argv = ["sweep", "--config", cli.scenario_path(preset), "--out", str(out_dir)]
-    assert cli.main(argv) == cli.EXIT_OK
-    stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
+    run = preset_sweep(preset)
+    out_dir = run.out_dir
+    assert run.code == cli.EXIT_OK
+    stdout = run.stdout.replace(str(out_dir), "OUT")
     assert stdout == (want_dir / "stdout.txt").read_text()
 
     indicator = read_rows(want_dir / "indicator.csv")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclosure_kit.errors import EmptySlabError, InvalidParameterError
 from enclosure_kit.geometry import AxisEllipse, DirectionFrame, Disk
@@ -130,6 +132,13 @@ class TestReduce:
         # omega^2 overflows: a typed error naming the inclusion, not OverflowError
         with pytest.raises(InvalidParameterError, match="inclusion 0"):
             reduce_scene(scene_with(SymMat2.identity(), SymMat2.zero(), omega=1e200))
+
+    def test_overflowing_denominator_rejected(self):
+        # sigma0^2 + omega^2*eps0^2 overflows while omega^2*eps0*beta does not:
+        # 1/denom = 0 would give a = 0 for a true a = beta/eps0 = 1e-5
+        scene = scene_with(SymMat2.zero(), SymMat2.identity(), eps0=1e5, omega=1e150)
+        with pytest.raises(InvalidParameterError, match="inclusion 0"):
+            reduce_scene(scene)
 
     def test_underflowing_background_rejected(self):
         # sigma0^2 + omega^2*eps0^2 underflows to 0, whose reciprocal is undefined
@@ -469,3 +478,92 @@ def test_scene_support_union():
     )
     assert scene_support(scene, (1.0, 0.0)) == pytest.approx(0.55)
     assert scene_support(scene, (0.0, 1.0)) == pytest.approx(0.15)
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+# a perturbation eigenvalue relative to its background: -0.9 to -0.01 or
+# 0.01 to 1000, so the inclusion is 0.1 to 1001 times the background
+RELATIVE_CONTRASTS = log_uniform(-2.0, math.log10(0.9)).map(lambda c: -c) | log_uniform(-2.0, 3.0)
+
+
+@st.composite
+def rotated(draw, scale, eigenvalues):
+    """scale * R diag(l1, l2) R^T for drawn eigenvalues and rotation angle."""
+    l1, l2 = scale * draw(eigenvalues), scale * draw(eigenvalues)
+    ang = draw(st.floats(0.0, math.pi))
+    c, s = math.cos(ang), math.sin(ang)
+    return SymMat2(c * c * l1 + s * s * l2, c * s * (l1 - l2), s * s * l1 + c * c * l2)
+
+
+@st.composite
+def extreme_scene_parts(draw):
+    """A scene with moderate ratios, as in criteria 1 and 2, carried to
+    constants as large as 1e150 and as small as 1e-150.
+
+    The reduction is invariant under sigma, eps -> k*sigma, k*eps and under
+    eps, omega -> eps/m, omega*m.  A moderate scene (constants in [0.1, 10],
+    sigma0 or omega possibly 0, perturbations of RELATIVE_CONTRASTS) is
+    scaled by k and m drawn so that every nonzero constant stays between
+    1e-150 and 1e150.  Ratios beyond these ranges lose digits to
+    cancellation in I + a or to subnormal products; see
+    test_reduction_loses_digits_at_extreme_ratios.
+    """
+    moderate = log_uniform(-1.0, 1.0)
+    sigma0 = draw(st.just(0.0) | moderate)
+    eps0 = draw(moderate)
+    omega = draw(st.just(0.0) | moderate)
+    e_k = draw(st.floats(-149.0, 149.0))
+    e_m = draw(st.floats(max(-149.0, e_k - 149.0), min(149.0, e_k + 149.0)))
+    k, m = 10.0**e_k, 10.0**e_m
+    sigma0, eps0, omega = k * sigma0, k / m * eps0, m * omega
+    if sigma0 > 0.0:
+        alpha = draw(rotated(sigma0, RELATIVE_CONTRASTS))
+    else:
+        alpha = draw(rotated(k, log_uniform(-1.0, 3.0)))
+    beta = draw(rotated(eps0, RELATIVE_CONTRASTS))
+    return sigma0, eps0, omega, alpha, beta
+
+
+def assert_reduction_identities(sigma0, eps0, omega, alpha, beta):
+    """The scene is refused, or the factorization identity holds within
+    1e-12 of its larger side and, for sigma0, omega > 0, a is the P, Q
+    combination of the relative contrasts within 1e-12 of a."""
+    try:
+        scene = scene_with(alpha, beta, sigma0=sigma0, eps0=eps0, omega=omega)
+        reduced = reduce_scene(scene)
+    except InvalidParameterError:
+        return
+    a, b = reduced.inclusions[0].a.as_array(), reduced.inclusions[0].b.as_array()
+    lhs = complex(sigma0, -omega * eps0) * (np.eye(2) + a - 1j * omega * b)
+    rhs = scene.sigma_on(0).as_array() - 1j * omega * scene.eps_on(0).as_array()
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+    if sigma0 > 0.0 and omega > 0.0:
+        p, q = pq_weights(sigma0, eps0, omega)
+        assert abs(p + q - 1.0) <= 1e-15
+        combination = p * (alpha.as_array() / sigma0) + q * (beta.as_array() / eps0)
+        assert np.max(np.abs(a - combination)) <= 1e-12 * np.max(np.abs(a))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(extreme_scene_parts())
+def test_reduction_identities_hold_or_scene_is_refused(parts):
+    assert_reduction_identities(*parts)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="known loss of digits")
+@pytest.mark.parametrize(
+    "parts",
+    [
+        # an insulating inclusion at low frequency: I + a = 1e-12 cancels
+        (1.0, 1.0, 1e-6, SymMat2.iso(-1.0), SymMat2.zero()),
+        # omega^2*eps0*beta = 1e-313 is subnormal, so a keeps 11 digits
+        (1e-149, 1e-148, 0.1, SymMat2.zero(), SymMat2.iso(1e-163)),
+    ],
+    ids=["cancellation-in-I-plus-a", "subnormal-product"],
+)
+def test_reduction_loses_digits_at_extreme_ratios(parts):
+    assert_reduction_identities(*parts)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -99,6 +100,55 @@ class TestDeterminismAndRefinement:
             assert min_angle_deg(generate_mesh(domain, target)) >= 20.0
 
 
+# sha256 of the int64 bytes of (triangles, boundary_vertices), recorded with
+# the per-element meshers; vertex coordinates come from libm's cos/sin, so
+# only the integer arrays are pinned
+CONNECTIVITY_DIGESTS = [
+    (UnitDisk(), 0.5,
+     "7ada7676903a1f8f484c09d46d59a59c58acdac7e85f6a21356b85e33654f8b3",
+     "a757d3736ffb9e9e69ca6a52b77a651dc26b89854a18f5642b2f6818af32f62b"),
+    (UnitDisk(), 0.23,
+     "15e35e6dd6488b9af8d56d971b864550ef4363a293043c177649d0748059a89e",
+     "4d103433598619c7ec6a7fbaa853664a1b0681dbc9b10190d83903691ab3dc08"),
+    (UnitDisk(), 0.1,
+     "d91eef2e164aff8fda3d99aff0ad772a6c26aea20f58ec867fd8dfcd57dae678",
+     "b500c8b6bacc10e169fb01a8720f116d3108f74af5beaf58aa7f0edfd5084589"),
+    (UnitDisk(), 0.04,
+     "634134bf367ab7db5cffe251a1f1319fe6fe1207eb721752c945dd5d4d832105",
+     "b1f3e53d9118b76f4673bac049d4f39dcabda95ce10c4edb779cc98560e7e1ca"),
+    (UnitDisk(), 0.01,
+     "becbf3858e5f7f92b08561d2d2d8c4fa9cc4394d13ff63a7c19f251817335ed9",
+     "041d0945606d3b74ad3dd12242d305b636e7763b611d407d502e23b9a7a2da42"),
+    (UNIT_SQUARE, 0.5,
+     "1f132e57efd1fd243839d89971ae31556686dc8a34ce506fe1bcfa7d04cebd72",
+     "80425c85f16cf4a3336ec4ff857c16c6d0a454b0a05ac4f5877343b13a5a0bcf"),
+    (UNIT_SQUARE, 0.2,
+     "e4e376d344be2bde2d303979a7c66d51dd9184ad6e11b807972351d7e14e8bf6",
+     "3b9fca16d2d7e048d2994d7bf102c7431ea41484c978186c532051eefe6143f2"),
+    (Rectangle(-1.0, 2.0, 0.5, 1.5), 0.3,
+     "8d8834f78d3552d83bf625c28616ace5dec7e25370dc56791b40106025e72d47",
+     "ad43386d5083b9b938b845604d542e268fe55d40c7dfe3361a7dd910d0ff6977"),
+    (Rectangle(0.0, 1.0, 0.0, 0.05), 0.4,
+     "99e9e66f9f61c4d3cb3c9b4f983ed205f8da499cef8ced9f51b79cb8900781c4",
+     "db2fbf9dbeb14696978d10fa9fc3a45bd3ba83bbe2d541953c62cb6464495ab3"),
+    (Rectangle(0.0, 2.5, 0.0, 1.6), 0.03,
+     "cc2ddf0ea68c4716c53e30aefbfc66b8e0da888e96f8d0a50d8425b2cab38289",
+     "087e437779a3a3f2488489f51df0314d8709620881c9dcea1f3845f8a0357794"),
+]
+
+
+@pytest.mark.parametrize(
+    "domain, target_h, triangles_sha, boundary_sha",
+    CONNECTIVITY_DIGESTS,
+    ids=[f"{type(d).__name__}-{h}" for d, h, _, _ in CONNECTIVITY_DIGESTS],
+)
+def test_connectivity_is_pinned(domain, target_h, triangles_sha, boundary_sha):
+    mesh = generate_mesh(domain, target_h)
+    assert mesh.triangles.dtype == mesh.boundary_vertices.dtype == np.int64
+    assert hashlib.sha256(mesh.triangles.tobytes()).hexdigest() == triangles_sha
+    assert hashlib.sha256(mesh.boundary_vertices.tobytes()).hexdigest() == boundary_sha
+
+
 class TestStatsAndErrors:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(InvalidParameterError):
@@ -138,6 +188,44 @@ class TestStatsAndErrors:
                 boundary_vertices=np.arange(3),
                 domain=UnitDisk(),
             )
+
+
+def unit_square_parts():
+    # two CCW triangles on the corners (0,0), (1,0), (0,1), (1,1)
+    return dict(
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        triangles=np.array([[0, 1, 3], [0, 3, 2]]),
+        boundary_vertices=np.array([0, 1, 3, 2]),
+    )
+
+
+MALFORMED_PARTS = {
+    "triangle-index-negative": ("triangles", np.array([[0, 1, 3], [0, 3, -2]])),
+    "triangle-index-past-end": ("triangles", np.array([[0, 1, 3], [0, 3, 4]])),
+    "triangles-float": ("triangles", np.array([[0.0, 1.0, 3.0], [0.0, 3.0, 2.0]])),
+    "triangles-list": ("triangles", [[0, 1, 3], [0, 3, 2]]),
+    "triangles-four-columns": ("triangles", np.array([[0, 1, 3, 2]])),
+    "boundary-index-past-end": ("boundary_vertices", np.array([0, 1, 3, 4])),
+    "boundary-index-negative": ("boundary_vertices", np.array([0, 1, 3, -1])),
+    "boundary-repeated": ("boundary_vertices", np.array([0, 1, 3, 3])),
+    "boundary-two-dimensional": ("boundary_vertices", np.array([[0, 1], [3, 2]])),
+    "boundary-float": ("boundary_vertices", np.array([0.0, 1.0, 3.0, 2.0])),
+    "vertex-nan": ("vertices", np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 1.0]])),
+    "vertex-inf": ("vertices", np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, np.inf]])),
+    "vertices-integer": ("vertices", np.array([[0, 0], [1, 0], [0, 1], [1, 1]])),
+    "vertices-three-columns": (
+        "vertices", np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_PARTS)
+def test_malformed_hand_built_mesh_rejected(name):
+    assert Mesh(**unit_square_parts(), domain=UNIT_SQUARE).h_max == math.sqrt(2.0)
+    field, value = MALFORMED_PARTS[name]
+    parts = unit_square_parts() | {field: value}
+    with pytest.raises(MeshError):
+        Mesh(**parts, domain=UNIT_SQUARE)
 
 
 def test_mesh_dump(tmp_path):
