@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, materials
+from . import geometry, materials, solver
 from .errors import (
     DegenerateHullError,
     EstimationError,
@@ -32,14 +32,14 @@ from .errors import (
 from .geometry import ConvexPolygon, DirectionFrame
 from .materials import MaterialScene, ReducedScene
 from .meshing import Mesh
-from .solver import DirichletSystem, assemble, reduced_field
+from .solver import CondensedSystem, assemble, reduced_field
 
 # probe oscillation must be resolved: tau * h_max <= RESOLUTION_GATE
 RESOLUTION_GATE = 0.5
 UNDERFLOW_FLOOR = 1e-300
-# largest solve block, interior vertices x taus, checked on the vertex
-# count, which bounds it: 8M complex entries are 128 MB, and a solve holds
-# a few arrays of that size at once
+# largest solve block, inclusion nodes x taus, checked on the vertex
+# count, which bounds it from above before any factorization: 8M complex
+# entries are 128 MB, and a solve holds a few arrays of that size at once
 MAX_SOLVE_BLOCK = 8_000_000
 
 NO_INCLUSION_FLAG = "no-inclusion"
@@ -168,15 +168,17 @@ class IndicatorEngine:
     inclusion triangles: it has no entries in any other row or column.
     Probes are evaluated on those nodes alone, and the source, the
     scattered right-hand side and the pairing all come from that block.
-    w is solved on the interior unknowns only, so every node must be an
-    interior vertex; ``node_rows`` holds their rows among those unknowns.
-    One factorized system serves every direction and tau.
+    w is solved on the interior unknowns, so every node must be an
+    interior vertex, and only its values on the nodes are needed: a
+    ``CondensedSystem`` on the nodes, factorized once, serves every
+    direction and tau.  Without nodes nothing is factorized and J is 0.
     """
 
     def __init__(self, reduced: ReducedScene, mesh: Mesh):
         self.mesh = mesh
         coeff = reduced_field(mesh, reduced)
-        self.system_inclusion = DirichletSystem(mesh, coeff)
+        # the whole mesh; `assemble` below builds the contrast block alone
+        stiffness = solver.assemble(mesh.vertices, mesh.triangles, coeff)
         d_a = coeff - np.eye(2)
         touched = np.unique(mesh.triangles[np.any(d_a != 0.0, axis=(1, 2))])
         # Every triangle with a vertex in `touched`, not the inclusion
@@ -196,7 +198,9 @@ class IndicatorEngine:
                 "an inclusion reaches the domain boundary on this mesh; "
                 "the method needs its closure inside the domain"
             )
-        self.node_rows = np.searchsorted(self.system_inclusion.interior, self.nodes)
+        self._condensed = (
+            CondensedSystem(mesh, stiffness, self.nodes) if len(self.nodes) else None
+        )
 
     def pairing_differences(self, frame: DirectionFrame, taus) -> np.ndarray:
         """Complex pairing differences for the shifted probes, one per tau."""
@@ -206,14 +210,12 @@ class IndicatorEngine:
         u0 = np.column_stack(
             [Probe(frame, float(tau), shift).evaluate(points) for tau in taus]
         )
+        if self._condensed is None:
+            return np.zeros(len(taus), dtype=complex)
         source = self.contrast @ u0
-        rhs = np.zeros((len(self.system_inclusion.interior), len(taus)), dtype=complex)
-        rhs[self.node_rows] = -source
-        w, _ = self.system_inclusion.solve_interior(rhs)
+        w = self._condensed.solve(-source)
         # two separate products: contrast @ (u0 + w) would round differently
-        return np.einsum(
-            "vk,vk->k", np.conj(u0), source + self.contrast @ w[self.node_rows]
-        )
+        return np.einsum("vk,vk->k", np.conj(u0), source + self.contrast @ w)
 
     def curve(self, frame: DirectionFrame, taus) -> IndicatorCurve:
         """Indicator curve at height t = 0; one factorization for all tau.

@@ -7,8 +7,12 @@ values are matched exactly and the weak Neumann pairing
     <Lambda f, g> = sum_T A_T grad(u) . grad(v) |T|
 
 is independent of the discrete extension v of g up to the interior
-residual.  Systems are factorized once (SuperLU, deterministic ordering)
-and reused across right-hand sides.
+residual.  ``CondensedSystem`` solves the interior problem for sources on
+the inclusion nodes only, through a factorization of the inclusion nodes'
+Schur complement; ``DirichletSystem`` factorizes the whole interior and
+serves as the test reference.  Both factorize once (SuperLU,
+deterministic ordering), reuse the factors across right-hand sides and
+check every solve's residual.
 """
 
 from __future__ import annotations
@@ -107,6 +111,153 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return np.array(norms).reshape(a.shape[1:])
 
 
+def _relative_residual(matrix, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    res = _column_norms(matrix @ x - rhs)
+    scale = _column_norms(rhs)
+    return np.where(scale > 0.0, res / np.where(scale > 0.0, scale, 1.0), res)
+
+
+def _checked_solve(lu, matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``matrix @ x = rhs`` through ``lu``, a factor of ``matrix``,
+    under the residual contract.
+
+    ``rhs`` is a vector or a batch of columns with one row per unknown.
+    Returns x and the relative residual of each column.  Raises SolveError
+    if any column misses RESIDUAL_TOL after one step of iterative
+    refinement.
+    """
+    rhs = np.asarray(rhs, dtype=complex)
+    if rhs.ndim not in (1, 2) or len(rhs) != matrix.shape[0]:
+        raise InvalidParameterError(
+            f"right-hand side of shape {rhs.shape} needs one row per "
+            f"unknown ({matrix.shape[0]})"
+        )
+    x = lu.solve(rhs)
+    rel = _relative_residual(matrix, x, rhs)
+    # written as "not all within" so that a NaN residual fails too
+    if not np.all(rel <= RESIDUAL_TOL):
+        x = x + lu.solve(rhs - matrix @ x)
+        rel = _relative_residual(matrix, x, rhs)
+        if not np.all(rel <= RESIDUAL_TOL):
+            worst = float(np.max(rel))
+            raise SolveError(
+                f"solve residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}", residual=worst
+            )
+    return x, rel
+
+
+# vertex sets of at most this size end the nested dissection
+DISSECTION_LEAF = 64
+
+
+def dissection_order(points: np.ndarray, graph: sp.spmatrix) -> np.ndarray:
+    """Geometric nested-dissection order of a graph's vertices.
+
+    ``points`` holds one coordinate pair per vertex, and every stored entry
+    of ``graph`` is an edge.  A vertex set is sorted along its wider
+    coordinate and split at the median; the left vertices with a neighbour
+    on the right separate the halves and go after both, and each half is
+    ordered the same way down to DISSECTION_LEAF vertices, which keep their
+    order.  Returns a permutation of range(len(points)).
+    """
+    graph = graph.tocsr()
+    pattern = sp.csr_matrix(
+        (np.ones(graph.nnz), graph.indices, graph.indptr), shape=graph.shape
+    )
+    on_right = np.zeros(len(points))
+    order = []
+
+    def dissect(idx: np.ndarray) -> None:
+        if len(idx) <= DISSECTION_LEAF:
+            order.append(idx)
+            return
+        p = points[idx]
+        axis = int(np.argmax(np.ptp(p, axis=0)))
+        idx = idx[np.argsort(p[:, axis], kind="stable")]
+        left, right = idx[: len(idx) // 2], idx[len(idx) // 2 :]
+        on_right[right] = 1.0
+        cut = pattern[left] @ on_right > 0.0
+        on_right[right] = 0.0
+        dissect(left[~cut])
+        dissect(right)
+        order.append(left[cut])
+
+    dissect(np.arange(len(points)))
+    return np.concatenate(order)
+
+
+class CondensedSystem:
+    """Interior problem K_II w = r for right-hand sides r that vanish off a
+    set S of interior vertices, solved for w on S alone.
+
+    ``stiffness`` is the assembled whole-mesh matrix and ``nodes`` lists S,
+    sorted.  Off S the coefficient must be the real identity background,
+    so the exterior unknowns E (interior vertices not in S) couple to S
+    only through the halo H, the nodes with an entry in an E column, and
+    only through real entries.  Eliminating E leaves
+
+        (K_SS - K_SE K_EE^-1 K_ES) w_S = r_S,
+
+    whose update is real and lives on H x H.  It is read off one factor of
+    the real SPD matrix Re K on E and H, with E in nested-dissection order
+    and H last: the trailing block L_HH U_HH of that factor is
+    Re K_HH - K_HE K_EE^-1 K_EH.  The exterior factor is checked once and
+    freed; the complex |S| matrix ``schur`` is factorized once and serves
+    every solve.
+    """
+
+    def __init__(self, mesh: Mesh, stiffness: sp.spmatrix, nodes: np.ndarray):
+        interior = mesh.interior_vertices()
+        exterior = interior[~np.isin(interior, nodes)]
+        k = stiffness.tocsr()
+        k_e = k[exterior]
+        if np.any(k_e.data.imag != 0.0):
+            raise InvalidParameterError(
+                "the coefficient is complex next to a vertex outside the given nodes"
+            )
+        halo = np.flatnonzero(k_e[:, nodes].getnnz(axis=0))
+        order = np.concatenate(
+            [exterior[dissection_order(mesh.vertices[exterior], k_e[:, exterior])], nodes[halo]]
+        )
+        n_e = len(exterior)
+        m = k[order][:, order].real.tocsc()
+        try:
+            lu = spla.splu(
+                m,
+                permc_spec="NATURAL",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
+            raise SolveError(f"exterior factorization failed: {exc}") from exc
+        tail = np.arange(n_e, len(order))
+        if not (np.array_equal(lu.perm_r[tail], tail) and np.array_equal(lu.perm_c[tail], tail)):
+            raise SolveError("the exterior factorization moved the halo off the end")
+        ones = np.ones(len(order))
+        rel = float(_relative_residual(m, lu.solve(ones), ones))
+        if not rel <= RESIDUAL_TOL:
+            raise SolveError(
+                f"exterior factor residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}", residual=rel
+            )
+        # lu.L and lu.U each copy a whole factor; each is dropped once sliced
+        update = lu.L[n_e:, n_e:].toarray() @ lu.U[n_e:, n_e:].toarray() - m[n_e:, n_e:].toarray()
+        del lu, m
+        k_s = k[nodes][:, nodes]
+        rows, cols = np.meshgrid(halo, halo, indexing="ij")
+        self.schur = (
+            k_s + sp.csr_matrix((update.ravel(), (rows.ravel(), cols.ravel())), shape=k_s.shape)
+        ).tocsc()
+        try:
+            self._lu = spla.splu(self.schur)
+        except RuntimeError as exc:
+            raise SolveError(f"factorization failed: {exc}") from exc
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """w on S, rows in ``nodes`` order, for right-hand sides given on S
+        (a vector or a batch of columns), under the residual contract."""
+        return _checked_solve(self._lu, self.schur, rhs)[0]
+
+
 @dataclass(frozen=True)
 class DirichletSolution:
     """Nodal solution of one Dirichlet solve.
@@ -125,8 +276,9 @@ class DirichletSystem:
     """Assembled and factorized Dirichlet problem for one coefficient field.
 
     ``coeff`` holds one complex 2x2 matrix per triangle, shape (nt, 2, 2).
-    Every solve reuses the one factorization and passes through the same
-    residual check.
+    The whole interior is factorized once, and every solve passes through
+    the same residual check; the pipeline does not use it, the tests
+    compare against it.
     """
 
     def __init__(self, mesh: Mesh, coeff: np.ndarray):
@@ -148,33 +300,9 @@ class DirichletSystem:
 
         ``rhs`` has one row per interior vertex, in ``interior`` order (a
         vector or a batch of columns).  Returns x in the same layout and
-        the relative residual of each column.  Raises SolveError if any
-        column misses RESIDUAL_TOL after one step of iterative refinement.
+        the relative residual of each column.
         """
-        rhs = np.asarray(rhs, dtype=complex)
-        if rhs.ndim not in (1, 2) or len(rhs) != len(self.interior):
-            raise InvalidParameterError(
-                f"right-hand side of shape {rhs.shape} needs one row per "
-                f"interior vertex ({len(self.interior)})"
-            )
-        x = self._lu.solve(rhs)
-        rel = self._relative_residual(x, rhs)
-        # written as "not all within" so that a NaN residual fails too
-        if not np.all(rel <= RESIDUAL_TOL):
-            x = x + self._lu.solve(rhs - self.K_ii @ x)
-            rel = self._relative_residual(x, rhs)
-            if not np.all(rel <= RESIDUAL_TOL):
-                worst = float(np.max(rel))
-                raise SolveError(
-                    f"interior residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}",
-                    residual=worst,
-                )
-        return x, rel
-
-    def _relative_residual(self, u_i: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        res = _column_norms(self.K_ii @ u_i - rhs)
-        scale = _column_norms(rhs)
-        return np.where(scale > 0.0, res / np.where(scale > 0.0, scale, 1.0), res)
+        return _checked_solve(self._lu, self.K_ii, rhs)
 
     def solve_dirichlet(self, f: np.ndarray) -> DirichletSolution:
         """Solve one Dirichlet problem; trace values follow boundary order."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from enclosure_kit import enclosure, solver
+from enclosure_kit import cli, enclosure, solver
 from enclosure_kit.enclosure import (
     IndicatorCurve,
     IndicatorEngine,
@@ -19,6 +19,7 @@ from enclosure_kit.errors import (
     InvalidParameterError,
     ProbeResolutionError,
     ResourceLimitError,
+    SolveError,
 )
 from enclosure_kit.geometry import (
     AxisEllipse,
@@ -45,6 +46,64 @@ def whole_mesh_contrast(mesh, reduced):
     """dA assembled over every triangle of the mesh, zeros included."""
     d_a = solver.reduced_field(mesh, reduced) - solver.identity_field(mesh)
     return solver.assemble(mesh.vertices, mesh.triangles, d_a)
+
+
+def engine_and_all_vertex_reference(mesh, scene, taus):
+    """The engine's pairing differences at direction angle 0.7, and the same
+    from probes on every vertex, the whole-mesh dA and a whole-interior
+    Dirichlet solve."""
+    reduced = reduce_scene(scene)
+    frame = DirectionFrame.from_angle(0.7)
+    raw = IndicatorEngine(reduced, mesh).pairing_differences(frame, taus)
+    delta_k = whole_mesh_contrast(mesh, reduced)
+    shift = mesh.domain.support(frame.theta)
+    u0 = np.column_stack(
+        [Probe(frame, float(tau), shift).evaluate(mesh.vertices) for tau in taus]
+    )
+    source = delta_k @ u0
+    system = solver.DirichletSystem(mesh, solver.reduced_field(mesh, reduced))
+    w = np.zeros_like(source)
+    w[system.interior] = system.solve_interior(-source[system.interior])[0]
+    return raw, np.einsum("vk,vk->k", np.conj(u0), source + delta_k @ w)
+
+
+class FactorProxy:
+    """A SuperLU factor whose solves can be scaled and whose column
+    permutation can be rolled by one place."""
+
+    def __init__(self, lu, solve_scale, roll_perm_c):
+        self._lu = lu
+        self._solve_scale = solve_scale
+        self._roll = roll_perm_c
+        self.solves = 0
+
+    def solve(self, rhs, trans="N"):
+        self.solves += 1
+        return self._solve_scale * self._lu.solve(rhs, trans)
+
+    @property
+    def perm_c(self):
+        return np.roll(self._lu.perm_c, 1) if self._roll else self._lu.perm_c
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def patch_factors(monkeypatch, complex_matrix, solve_scale=1.0, roll_perm_c=False):
+    """Make splu return a FactorProxy for complex (or for real) matrices;
+    returns the list of proxies handed out."""
+    splu = scipy.sparse.linalg.splu
+    proxies = []
+
+    def patched(matrix, *args, **kwargs):
+        lu = splu(matrix, *args, **kwargs)
+        if np.iscomplexobj(matrix.data) != complex_matrix:
+            return lu
+        proxies.append(FactorProxy(lu, solve_scale, roll_perm_c))
+        return proxies[-1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", patched)
+    return proxies
 
 
 def centered_scene(contrast=1.0):
@@ -152,30 +211,68 @@ class TestIndicator:
         ids=["positive", "negative", "empty"],
     )
     def test_inclusion_nodes_match_all_vertex_formula(self, coarse_mesh, scene):
-        reduced = reduce_scene(scene)
-        engine = IndicatorEngine(reduced, coarse_mesh)
-        delta_k = whole_mesh_contrast(coarse_mesh, reduced)
-        frame = DirectionFrame.from_angle(0.7)
-        # probes on every vertex, contracted over every row
-        shift = coarse_mesh.domain.support(frame.theta)
-        u0 = np.column_stack(
-            [
-                Probe(frame, float(tau), shift).evaluate(coarse_mesh.vertices)
-                for tau in COARSE_TAUS
-            ]
-        )
-        source = delta_k @ u0
-        interior = engine.system_inclusion.interior
-        w = np.zeros_like(source)
-        w[interior] = engine.system_inclusion.solve_interior(-source[interior])[0]
-        reference = np.einsum("vk,vk->k", np.conj(u0), source + delta_k @ w)
-
-        raw = engine.pairing_differences(frame, COARSE_TAUS)
+        raw, reference = engine_and_all_vertex_reference(coarse_mesh, scene, COARSE_TAUS)
         if not scene.inclusions:
             assert np.all(raw == 0.0) and np.all(reference == 0.0)
         else:
             assert np.all(np.abs(reference) > 0.0)
             assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name",
+        ["positive_disk", "negative_disk_lowfreq", "proportional_highfreq", "positive_permittivity"],
+    )
+    def test_presets_match_all_vertex_formula(self, name):
+        config = cli.load_config(cli.scenario_path(name))
+        mesh = generate_mesh(config.domain, config.target_h)
+        raw, reference = engine_and_all_vertex_reference(mesh, config.scene, config.taus())
+        assert np.all(np.abs(reference) > 0.0)
+        assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
+
+    def test_rectangle_scene_matches_all_vertex_formula(self):
+        # two inclusions, the polygon with a negative jump
+        mesh = generate_mesh(Rectangle(-1.5, 1.5, -1.0, 1.0), 0.04)
+        raw, reference = engine_and_all_vertex_reference(
+            mesh, ellipse_and_polygon_scene(), COARSE_TAUS
+        )
+        assert np.all(np.abs(reference) > 0.0)
+        assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
+
+    def test_empty_scene_factors_nothing(self, coarse_mesh, monkeypatch):
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factorized for a scene without inclusions")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
+        empty = MaterialScene(sigma0=1.0, eps0=1.0, omega=1.0)
+        engine = IndicatorEngine(reduce_scene(empty), coarse_mesh)
+        raw = engine.pairing_differences(E1, COARSE_TAUS)
+        assert raw.dtype == complex
+        assert np.array_equal(raw, np.zeros(len(COARSE_TAUS)))
+        for taus in ([], [[2.0, 3.0]], np.r_[COARSE_TAUS[:-1], np.nan], COARSE_TAUS[::-1]):
+            with pytest.raises(InvalidParameterError):
+                engine.pairing_differences(E1, taus)
+
+    @pytest.mark.parametrize("which", ["inclusion", "exterior"])
+    def test_inaccurate_solve_refines_once_then_raises(self, coarse_mesh, monkeypatch, which):
+        # the complex factor is the inclusion nodes', the real one the exterior's
+        proxies = patch_factors(monkeypatch, which == "inclusion", solve_scale=1.5)
+        scene = reduce_scene(centered_scene())
+        with pytest.raises(SolveError) as info:
+            IndicatorEngine(scene, coarse_mesh).pairing_differences(E1, COARSE_TAUS)
+        assert info.value.residual > solver.RESIDUAL_TOL
+        # a solve scaled by 1.5 leaves a relative residual of 0.5, and one
+        # refinement step a residual of 0.25
+        if which == "inclusion":
+            assert [p.solves for p in proxies] == [2]
+            assert info.value.residual == pytest.approx(0.25)
+        else:
+            assert [p.solves for p in proxies] == [1]
+            assert info.value.residual == pytest.approx(0.5)
+
+    def test_exterior_factor_moving_the_halo_raises(self, coarse_mesh, monkeypatch):
+        patch_factors(monkeypatch, False, roll_perm_c=True)
+        with pytest.raises(SolveError, match="halo"):
+            IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
 
     @pytest.mark.parametrize(
         "domain, target_h, scene",
