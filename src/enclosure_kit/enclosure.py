@@ -171,21 +171,22 @@ class IndicatorEngine:
     w is solved on the interior unknowns, so every node must be an
     interior vertex, and only its values on the nodes are needed: a
     ``CondensedSystem`` on the nodes, factorized once, serves every
-    direction and tau.  Without nodes nothing is factorized and J is 0.
+    direction and tau.  It gets K_SS, the stiffness block on the nodes,
+    assembled over the same triangles as dA, and builds the background
+    exterior itself.  Without nodes only dA is assembled and J is 0.
     """
 
     def __init__(self, reduced: ReducedScene, mesh: Mesh):
         self.mesh = mesh
         coeff = reduced_field(mesh, reduced)
-        # the whole mesh; `assemble` below builds the contrast block alone
-        stiffness = solver.assemble(mesh.vertices, mesh.triangles, coeff)
         d_a = coeff - np.eye(2)
         touched = np.unique(mesh.triangles[np.any(d_a != 0.0, axis=(1, 2))])
         # Every triangle with a vertex in `touched`, not the inclusion
         # triangles alone: SciPy sums a row's duplicate entries after an
         # unstable per-row sort, so every entry of the row, zeros included,
         # sets the summation order.  With all of them the rows of the
-        # inclusion vertices match a whole-mesh assembly bit for bit.
+        # inclusion vertices match a whole-mesh assembly bit for bit, for
+        # dA here and for the stiffness block K_SS below.
         near = np.any(np.isin(mesh.triangles, touched), axis=1)
         verts, local = np.unique(mesh.triangles[near], return_inverse=True)
         delta_k = assemble(mesh.vertices[verts], local.reshape(-1, 3), d_a[near])
@@ -198,9 +199,10 @@ class IndicatorEngine:
                 "an inclusion reaches the domain boundary on this mesh; "
                 "the method needs its closure inside the domain"
             )
-        self._condensed = (
-            CondensedSystem(mesh, stiffness, self.nodes) if len(self.nodes) else None
-        )
+        self._condensed = None
+        if len(self.nodes):
+            k_near = solver.assemble(mesh.vertices[verts], local.reshape(-1, 3), coeff[near])
+            self._condensed = CondensedSystem(mesh, self.nodes, k_near[nodes][:, nodes])
 
     def pairing_differences(self, frame: DirectionFrame, taus) -> np.ndarray:
         """Complex pairing differences for the shifted probes, one per tau."""
@@ -309,8 +311,9 @@ def sweep(
     Directions whose regime report has an empty applicable set are flagged
     "outside proven regime" but still estimated.  A malformed tau grid
     raises InvalidParameterError, an underresolved one
-    ProbeResolutionError, and a solve block of more than MAX_SOLVE_BLOCK
-    entries ResourceLimitError, all before any factorization.
+    ProbeResolutionError, and vertices times taus, an upper bound on the
+    solve block, over MAX_SOLVE_BLOCK ResourceLimitError, all before any
+    factorization.
     """
     if n_directions < 8:
         raise InvalidParameterError("sweep needs at least 8 directions")
@@ -319,8 +322,8 @@ def sweep(
         raise InvalidParameterError("sweep needs at least 8 tau samples")
     if mesh.num_vertices * len(taus) > MAX_SOLVE_BLOCK:
         raise ResourceLimitError(
-            f"{len(taus)} taus on {mesh.num_vertices} vertices need a solve block of "
-            f"{mesh.num_vertices * len(taus)} entries; budget is {MAX_SOLVE_BLOCK}"
+            f"{len(taus)} taus times {mesh.num_vertices} vertices is {mesh.num_vertices * len(taus)} "
+            f"entries; this upper bound on the solve block exceeds the budget of {MAX_SOLVE_BLOCK}"
         )
     reduced = materials.reduce_scene(scene)
     engine = IndicatorEngine(reduced, mesh)

@@ -190,37 +190,35 @@ class CondensedSystem:
     """Interior problem K_II w = r for right-hand sides r that vanish off a
     set S of interior vertices, solved for w on S alone.
 
-    ``stiffness`` is the assembled whole-mesh matrix and ``nodes`` lists S,
-    sorted.  Off S the coefficient must be the real identity background,
-    so the exterior unknowns E (interior vertices not in S) couple to S
-    only through the halo H, the nodes with an entry in an E column, and
-    only through real entries.  Eliminating E leaves
+    ``nodes`` lists S, sorted, and ``block`` is K_SS, the stiffness block
+    on S.  Off S the coefficient is the real identity background, so the
+    exterior unknowns E (interior vertices not in S) couple to S only
+    through the halo H, the nodes with an entry in an E column, and only
+    through real entries.  Eliminating E leaves
 
         (K_SS - K_SE K_EE^-1 K_ES) w_S = r_S,
 
-    whose update is real and lives on H x H.  It is read off one factor of
-    the real SPD matrix Re K on E and H, with E in nested-dissection order
-    and H last: the trailing block L_HH U_HH of that factor is
-    Re K_HH - K_HE K_EE^-1 K_EH.  The exterior factor is checked once and
-    freed; the complex |S| matrix ``schur`` is factorized once and serves
-    every solve.
+    whose update is real, lives on H x H and depends on the mesh and S
+    alone.  It is read off one factor of the real SPD background stiffness
+    on E and H, assembled here from ``identity_field``, with E in
+    nested-dissection order and H last: the trailing block L_HH U_HH of
+    that factor is K0_HH - K_HE K_EE^-1 K_EH.  The exterior factor is
+    checked once and freed; the complex |S| matrix ``schur`` is factorized
+    once and serves every solve.
     """
 
-    def __init__(self, mesh: Mesh, stiffness: sp.spmatrix, nodes: np.ndarray):
+    def __init__(self, mesh: Mesh, nodes: np.ndarray, block: sp.spmatrix):
         interior = mesh.interior_vertices()
         exterior = interior[~np.isin(interior, nodes)]
-        k = stiffness.tocsr()
+        k = assemble(mesh.vertices, mesh.triangles, identity_field(mesh)).real
         k_e = k[exterior]
-        if np.any(k_e.data.imag != 0.0):
-            raise InvalidParameterError(
-                "the coefficient is complex next to a vertex outside the given nodes"
-            )
         halo = np.flatnonzero(k_e[:, nodes].getnnz(axis=0))
         order = np.concatenate(
             [exterior[dissection_order(mesh.vertices[exterior], k_e[:, exterior])], nodes[halo]]
         )
         n_e = len(exterior)
-        m = k[order][:, order].real.tocsc()
+        m = k[order][:, order].tocsc()
+        del k, k_e
         try:
             lu = spla.splu(
                 m,
@@ -242,10 +240,9 @@ class CondensedSystem:
         # lu.L and lu.U each copy a whole factor; each is dropped once sliced
         update = lu.L[n_e:, n_e:].toarray() @ lu.U[n_e:, n_e:].toarray() - m[n_e:, n_e:].toarray()
         del lu, m
-        k_s = k[nodes][:, nodes]
         rows, cols = np.meshgrid(halo, halo, indexing="ij")
         self.schur = (
-            k_s + sp.csr_matrix((update.ravel(), (rows.ravel(), cols.ravel())), shape=k_s.shape)
+            block + sp.csr_matrix((update.ravel(), (rows.ravel(), cols.ravel())), shape=block.shape)
         ).tocsc()
         try:
             self._lu = spla.splu(self.schur)

@@ -9,7 +9,6 @@ from enclosure_kit.materials import Inclusion, MaterialScene, SymMat2, reduce_sc
 from enclosure_kit.meshing import Mesh, generate_mesh
 from enclosure_kit.solver import (
     RESIDUAL_TOL,
-    CondensedSystem,
     DirichletSystem,
     assemble,
     difference_pairing,
@@ -227,25 +226,6 @@ class TestDissectionOrder:
         first = dissection_order(mesh.vertices[exterior], graph)
         assert np.array_equal(np.sort(first), np.arange(len(exterior)))
         assert np.array_equal(first, dissection_order(mesh.vertices[exterior], graph))
-
-
-class TestCondensedSystem:
-    def test_refuses_complex_coefficient_off_the_nodes(self):
-        # the condensation needs the real background everywhere off S
-        mesh = generate_mesh(UnitDisk(), 0.04)
-        scene = MaterialScene(
-            sigma0=1.0,
-            eps0=1.0,
-            omega=1.0,
-            inclusions=(Inclusion(Disk((0.3, 0.0), 0.2), SymMat2.iso(1.0), SymMat2.iso(0.5)),),
-        )
-        coeff = reduced_field(mesh, reduce_scene(scene))
-        touched = np.unique(mesh.triangles[np.any(coeff.imag != 0.0, axis=(1, 2))])
-        assert len(touched) > 0
-        stiffness = assemble_on(mesh, coeff)
-        CondensedSystem(mesh, stiffness, touched)
-        with pytest.raises(InvalidParameterError, match="complex"):
-            CondensedSystem(mesh, stiffness, touched[1:])
 
 
 class TestDtnPairing:

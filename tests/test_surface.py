@@ -18,7 +18,6 @@ LIBRARY = ROOT / "src" / "enclosure_kit"
 
 ALLOWED = {
     "cgo_trace": "test reference: the probe trace of the two-solve check",
-    "identity_field": "test reference: background field of criterion 4 and the two-solve check",
     "scene_field": "test reference: original-variable field of criterion 5",
     "dtn_pairing": "test reference: weak Neumann pairing of criteria 4 and 5",
     "difference_pairing": "test reference: pairing difference of the two-solve check",
