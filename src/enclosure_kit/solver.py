@@ -75,13 +75,15 @@ def reduced_field(mesh: Mesh, reduced: ReducedScene) -> np.ndarray:
 def assemble(
     vertices: np.ndarray, triangles: np.ndarray, coeff: np.ndarray
 ) -> sp.csr_matrix:
-    """Assemble the complex symmetric P1 stiffness matrix of a triangle set.
+    """Assemble the symmetric P1 stiffness matrix of a triangle set.
 
     K_ij = sum_T (A_T grad(phi_i)) . grad(phi_j) |T| over hat functions,
     with one 2x2 matrix A_T per row of ``triangles`` and one row and column
-    per vertex; an empty triangle set gives an empty sum.
+    per vertex; an empty triangle set gives an empty sum.  A real field
+    gives a real matrix, a complex one a complex matrix.
     """
-    coeff = np.asarray(coeff, dtype=complex)
+    coeff = np.asarray(coeff)
+    coeff = coeff.astype(complex if np.iscomplexobj(coeff) else float, copy=False)
     if coeff.shape != (len(triangles), 2, 2):
         raise InvalidParameterError("coefficient field does not match the triangles")
     p = vertices[triangles]
@@ -91,8 +93,11 @@ def assemble(
     area2 = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]  # = 2*|T| for CCW triangles
     if np.any(area2 <= 0.0):
         raise MeshError("assembly hit a degenerate or misoriented triangle")
-    g = np.stack([b, c], axis=2)  # (nt, 3, 2); grad(phi_i) = g[:, i] / (2|T|)
-    k_local = np.einsum("tia,tab,tjb->tij", g, coeff, g) / (
+    # grad(phi_i) = (b_i, c_i) / (2|T|), so (A_T grad(phi_j)) * 2|T| = (u_j, v_j)
+    a = coeff[:, :, :, None]
+    u = a[:, 0, 0] * b + a[:, 0, 1] * c
+    v = a[:, 1, 0] * b + a[:, 1, 1] * c
+    k_local = (b[:, :, None] * u[:, None, :] + c[:, :, None] * v[:, None, :]) / (
         2.0 * area2[:, None, None]
     )
     rows = np.repeat(triangles, 3, axis=1).ravel()
@@ -150,6 +155,11 @@ def _checked_solve(lu, matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 DISSECTION_LEAF = 64
 
 
+def _segment_ids(lengths: np.ndarray) -> np.ndarray:
+    """Index of its segment for every element of consecutive segments."""
+    return np.repeat(np.arange(len(lengths)), lengths)
+
+
 def dissection_order(points: np.ndarray, graph: sp.spmatrix) -> np.ndarray:
     """Geometric nested-dissection order of a graph's vertices.
 
@@ -159,31 +169,79 @@ def dissection_order(points: np.ndarray, graph: sp.spmatrix) -> np.ndarray:
     on the right separate the halves and go after both, and each half is
     ordered the same way down to DISSECTION_LEAF vertices, which keep their
     order.  Returns a permutation of range(len(points)).
+
+    The sets of one level are split together.  ``seq`` holds their
+    vertices set after set, and each set fills the slice of the result
+    that starts at its ``out``: its left part less the separator, then its
+    right part, then the separator.  Coordinates are compared through
+    their ranks among the distinct values, so one stable sort of an integer
+    key sorts every set.  A left vertex with a right neighbour lies within
+    the longest edge's extent along the axis of the split, so only the left
+    vertices that close to the split are tested.
     """
     graph = graph.tocsr()
-    pattern = sp.csr_matrix(
-        (np.ones(graph.nnz), graph.indices, graph.indptr), shape=graph.shape
-    )
-    on_right = np.zeros(len(points))
-    order = []
+    rows = _segment_ids(np.diff(graph.indptr))
+    values, ranks, reach = [], [], []
+    for x in points.T:
+        distinct, rank = np.unique(x, return_inverse=True)
+        ranks.append(rank + sum(map(len, values)))
+        values.append(distinct)
+        reach.append(np.max(np.abs(x[graph.indices] - x[rows]), initial=0.0))
+    values = np.concatenate(values)
+    result = np.empty(len(points), dtype=np.int64)
+    seq = np.arange(len(points))
+    lengths = np.array([len(points)])
+    out = np.array([0])
+    # numbers the right part of each set; levels never reuse a number
+    label = np.zeros(len(points), dtype=np.int64)
+    next_label = 1
+    while True:
+        split_again = lengths > DISSECTION_LEAF
+        set_of = _segment_ids(lengths)
+        at_leaf = ~split_again[set_of]
+        offset = out - (np.cumsum(lengths) - lengths)
+        result[offset[set_of[at_leaf]] + np.flatnonzero(at_leaf)] = seq[at_leaf]
+        seq, lengths, out = seq[~at_leaf], lengths[split_again], out[split_again]
+        if not len(seq):
+            return result
 
-    def dissect(idx: np.ndarray) -> None:
-        if len(idx) <= DISSECTION_LEAF:
-            order.append(idx)
-            return
-        p = points[idx]
-        axis = int(np.argmax(np.ptp(p, axis=0)))
-        idx = idx[np.argsort(p[:, axis], kind="stable")]
-        left, right = idx[: len(idx) // 2], idx[len(idx) // 2 :]
-        on_right[right] = 1.0
-        cut = pattern[left] @ on_right > 0.0
-        on_right[right] = 0.0
-        dissect(left[~cut])
-        dissect(right)
-        order.append(left[cut])
+        set_of = _segment_ids(lengths)
+        starts = np.cumsum(lengths) - lengths
+        r_x, r_y = ranks[0][seq], ranks[1][seq]
+        extent = [
+            values[np.maximum.reduceat(r, starts)] - values[np.minimum.reduceat(r, starts)]
+            for r in (r_x, r_y)
+        ]
+        wide_y = extent[1] > extent[0]
+        r = np.where(wide_y[set_of], r_y, r_x)
+        by_set = np.argsort(set_of * len(values) + r, kind="stable")
+        seq, coord = seq[by_set], values[r[by_set]]
 
-    dissect(np.arange(len(points)))
-    return np.concatenate(order)
+        half = lengths // 2
+        parts = np.column_stack([half, lengths - half]).ravel()
+        on_right = np.repeat(np.arange(len(parts)) % 2 == 1, parts)
+        set_label = next_label + np.arange(len(lengths))
+        next_label += len(lengths)
+        label[seq[on_right]] = set_label[set_of[on_right]]
+        split = coord[starts + half]
+        near = ~(split[set_of] - coord > np.where(wide_y, reach[1], reach[0])[set_of])
+        tested = np.flatnonzero(~on_right & near)
+        first = graph.indptr[seq[tested]]
+        counts = graph.indptr[seq[tested] + 1] - first
+        owner = _segment_ids(counts)
+        entry = first[owner] + np.arange(counts.sum()) - (np.cumsum(counts) - counts)[owner]
+        hit = label[graph.indices[entry]] == set_label[set_of[tested[owner]]]
+        cut = np.zeros(len(seq), dtype=bool)
+        cut[tested[owner[hit]]] = True
+
+        at_cut = np.flatnonzero(cut)
+        cut_set = set_of[at_cut]
+        n_cut = np.bincount(cut_set, minlength=len(lengths))
+        rank_in_set = np.arange(len(at_cut)) - np.searchsorted(cut_set, cut_set)
+        result[(out + lengths - n_cut)[cut_set] + rank_in_set] = seq[at_cut]
+        seq = seq[~cut]
+        lengths = np.column_stack([half - n_cut, lengths - half]).ravel()
+        out = np.column_stack([out, out + half - n_cut]).ravel()
 
 
 class CondensedSystem:
@@ -200,17 +258,19 @@ class CondensedSystem:
 
     whose update is real, lives on H x H and depends on the mesh and S
     alone.  It is read off one factor of the real SPD background stiffness
-    on E and H, assembled here from ``identity_field``, with E in
-    nested-dissection order and H last: the trailing block L_HH U_HH of
-    that factor is K0_HH - K_HE K_EE^-1 K_EH.  The exterior factor is
-    checked once and freed; the complex |S| matrix ``schur`` is factorized
-    once and serves every solve.
+    on E and H, assembled here in float64 from the real part of
+    ``identity_field``, with E in nested-dissection order and H last: the
+    trailing block L_HH U_HH of that factor is K0_HH - K_HE K_EE^-1 K_EH.
+    The exterior factor is checked once and freed; the complex |S| matrix
+    ``schur`` is factorized once, in minimum-degree order on its symmetric
+    pattern (it fills less than SuperLU's default COLAMD), and serves
+    every solve.
     """
 
     def __init__(self, mesh: Mesh, nodes: np.ndarray, block: sp.spmatrix):
         interior = mesh.interior_vertices()
         exterior = interior[~np.isin(interior, nodes)]
-        k = assemble(mesh.vertices, mesh.triangles, identity_field(mesh)).real
+        k = assemble(mesh.vertices, mesh.triangles, identity_field(mesh).real)
         k_e = k[exterior]
         halo = np.flatnonzero(k_e[:, nodes].getnnz(axis=0))
         order = np.concatenate(
@@ -245,7 +305,7 @@ class CondensedSystem:
             block + sp.csr_matrix((update.ravel(), (rows.ravel(), cols.ravel())), shape=block.shape)
         ).tocsc()
         try:
-            self._lu = spla.splu(self.schur)
+            self._lu = spla.splu(self.schur, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolveError(f"factorization failed: {exc}") from exc
 

@@ -330,6 +330,24 @@ class TestIndicator:
         assert np.array_equal(first.indices, second.indices)
         assert np.array_equal(first.data.view(np.uint64), second.data.view(np.uint64))
 
+    def test_inclusion_factor_fill_beats_colamd(self, monkeypatch):
+        # the |S| matrix is complex symmetric: a minimum-degree order on
+        # its symmetric pattern fills less than SuperLU's default COLAMD
+        splu = scipy.sparse.linalg.splu
+        factored = []
+
+        def recording(matrix, *args, **kwargs):
+            lu = splu(matrix, *args, **kwargs)
+            if np.iscomplexobj(matrix.data):
+                factored.append((matrix.copy(), lu.L.nnz + lu.U.nnz))
+            return lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+        IndicatorEngine(reduce_scene(centered_scene()), generate_mesh(UnitDisk(), 0.02))
+        [(schur, fill)] = factored
+        colamd = splu(schur)
+        assert fill < colamd.L.nnz + colamd.U.nnz
+
     @pytest.mark.parametrize(
         "domain, target_h, scene",
         [

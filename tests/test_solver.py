@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from enclosure_kit.errors import InvalidParameterError, MeshError, SolveError
 from enclosure_kit.geometry import Disk, Rectangle, UnitDisk
 from enclosure_kit.materials import Inclusion, MaterialScene, SymMat2, reduce_scene
 from enclosure_kit.meshing import Mesh, generate_mesh
 from enclosure_kit.solver import (
+    DISSECTION_LEAF,
     RESIDUAL_TOL,
     DirichletSystem,
     assemble,
@@ -68,6 +70,48 @@ class TestAssembly:
         k = assemble_on(square_mesh, constant_field(square_mesh, 2.0 + 0.5j))
         row_sums = np.asarray(k.sum(axis=1)).ravel()
         assert np.max(np.abs(row_sums)) < 1e-13
+
+    def test_real_field_assembles_in_float64(self):
+        # equal to the complex assembly's real part up to the order in
+        # which SciPy sums a row's duplicates, which depends on the dtype
+        mesh = generate_mesh(UnitDisk(), 0.02)
+        rng = np.random.default_rng(12)
+        spd = rng.normal(size=(mesh.num_triangles, 2, 2))
+        spd = spd @ spd.transpose(0, 2, 1) + np.eye(2)
+        for field in (identity_field(mesh).real, spd):
+            k = assemble_on(mesh, field)
+            kc = assemble_on(mesh, field.astype(complex))
+            assert k.dtype == np.float64
+            k.sort_indices()
+            kc.sort_indices()
+            assert np.array_equal(k.indptr, kc.indptr)
+            assert np.array_equal(k.indices, kc.indices)
+            row_max = np.repeat(
+                np.maximum.reduceat(np.abs(k.data), k.indptr[:-1]), np.diff(k.indptr)
+            )
+            assert np.all(np.abs(k.data - kc.data.real) <= 8 * np.spacing(row_max))
+
+    def test_complex_local_matrices(self):
+        # triangles that share no vertex: the assembled entries are the
+        # local matrices, held against the three-operand contraction
+        mesh = generate_mesh(UnitDisk(), 0.1)
+        p = mesh.vertices[mesh.triangles]
+        rng = np.random.default_rng(13)
+        coeff = rng.normal(size=(mesh.num_triangles, 2, 2, 2)) @ [1.0, 1.0j]
+        coeff = coeff + coeff.transpose(0, 2, 1)
+        separate = np.arange(3 * mesh.num_triangles).reshape(-1, 3)
+        k = assemble(p.reshape(-1, 2), separate, coeff)
+        rows = np.repeat(separate, 3, axis=1)
+        cols = np.tile(separate, (1, 3))
+        local = np.asarray(k[rows.ravel(), cols.ravel()]).reshape(-1, 3, 3)
+        x, y = p[:, :, 0], p[:, :, 1]
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        g = np.stack([b, c], axis=2)
+        area2 = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
+        want = np.einsum("tia,tab,tjb->tij", g, coeff, g) / (2.0 * area2[:, None, None])
+        scale = np.max(np.abs(want), axis=(1, 2))
+        assert np.max(np.abs(local - want).max(axis=(1, 2)) / scale) <= 1e-15
 
     def test_mismatched_field(self, square_mesh):
         with pytest.raises(InvalidParameterError):
@@ -214,18 +258,95 @@ class TestDirichletSolve:
             system.solve_interior(rhs)
 
 
+def recursive_dissection_order(points, graph):
+    """The nested dissection written as a recursion over vertex sets: the
+    oracle that the level-by-level ``dissection_order`` must reproduce."""
+    graph = graph.tocsr()
+    pattern = sp.csr_matrix(
+        (np.ones(graph.nnz), graph.indices, graph.indptr), shape=graph.shape
+    )
+    on_right = np.zeros(len(points))
+    order = []
+
+    def dissect(idx):
+        if len(idx) <= DISSECTION_LEAF:
+            order.append(idx)
+            return
+        p = points[idx]
+        axis = int(np.argmax(np.ptp(p, axis=0)))
+        idx = idx[np.argsort(p[:, axis], kind="stable")]
+        left, right = idx[: len(idx) // 2], idx[len(idx) // 2 :]
+        on_right[right] = 1.0
+        cut = pattern[left] @ on_right > 0.0
+        on_right[right] = 0.0
+        dissect(left[~cut])
+        dissect(right)
+        order.append(left[cut])
+
+    dissect(np.arange(len(points)))
+    return np.concatenate(order)
+
+
+def interior_graph(domain, target_h, hole):
+    """Points and stiffness pattern of a mesh's interior vertices, less
+    those inside the reference disk when ``hole`` is set."""
+    mesh = generate_mesh(domain, target_h)
+    interior = mesh.interior_vertices()
+    if hole:
+        inside = np.linalg.norm(mesh.vertices[interior] - (0.3, 0.0), axis=1) < 0.2
+        interior = interior[~inside]
+    k = assemble_on(mesh, identity_field(mesh).real).tocsr()
+    return mesh.vertices[interior], k[interior][:, interior]
+
+
 class TestDissectionOrder:
     def test_stable_permutation_of_the_exterior(self):
         # the exterior of an inclusion footprint, as the condensed system
         # orders it
-        mesh = generate_mesh(UnitDisk(), 0.04)
-        interior = mesh.interior_vertices()
-        inside = np.linalg.norm(mesh.vertices[interior] - (0.3, 0.0), axis=1) < 0.2
-        exterior = interior[~inside]
-        graph = assemble_on(mesh, identity_field(mesh)).tocsr()[exterior][:, exterior]
-        first = dissection_order(mesh.vertices[exterior], graph)
-        assert np.array_equal(np.sort(first), np.arange(len(exterior)))
-        assert np.array_equal(first, dissection_order(mesh.vertices[exterior], graph))
+        points, graph = interior_graph(UnitDisk(), 0.04, hole=True)
+        first = dissection_order(points, graph)
+        assert np.array_equal(np.sort(first), np.arange(len(points)))
+        assert np.array_equal(first, dissection_order(points, graph))
+
+    @pytest.mark.parametrize(
+        "domain, target_h, hole",
+        [
+            (UnitDisk(), 0.04, False),
+            (UnitDisk(), 0.04, True),
+            (UnitDisk(), 0.02, False),
+            (UnitDisk(), 0.02, True),
+            # a grid: many tied coordinates
+            (Rectangle(-1.5, 1.5, -1.0, 1.0), 0.1, False),
+            (Rectangle(-1.5, 1.5, -1.0, 1.0), 0.05, False),
+            # a square: sets as wide as they are tall take the first axis
+            (UNIT_SQUARE, 0.05, False),
+        ],
+    )
+    def test_matches_the_recursion_on_meshes(self, domain, target_h, hole):
+        points, graph = interior_graph(domain, target_h, hole)
+        assert np.array_equal(
+            dissection_order(points, graph), recursive_dissection_order(points, graph)
+        )
+
+    def test_leaf_sized_input_keeps_its_order(self):
+        points, graph = interior_graph(UNIT_SQUARE, 0.25, hole=False)
+        assert 0 < len(points) <= DISSECTION_LEAF
+        order = dissection_order(points, graph)
+        assert np.array_equal(order, recursive_dissection_order(points, graph))
+        assert np.array_equal(order, np.arange(len(points)))
+        assert np.array_equal(dissection_order(points[:0], graph[:0][:, :0]), [])
+
+    def test_every_stored_entry_is_an_edge(self):
+        # explicit zeros are edges, and an isolated vertex has none
+        points, graph = interior_graph(Rectangle(-1.5, 1.5, -1.0, 1.0), 0.1, hole=False)
+        graph = graph.copy()
+        graph.data[np.random.default_rng(5).random(graph.nnz) < 0.5] = 0.0
+        graph = sp.block_diag([graph, sp.csr_matrix((1, 1))], format="csr")
+        points = np.vstack([points, [0.05, 0.05]])
+        order = dissection_order(points, graph)
+        assert np.array_equal(order, recursive_dissection_order(points, graph))
+        graph.eliminate_zeros()
+        assert not np.array_equal(order, dissection_order(points, graph))
 
 
 class TestDtnPairing:
