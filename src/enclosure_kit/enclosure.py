@@ -37,6 +37,8 @@ from .solver import CondensedSystem, assemble, reduced_field
 # probe oscillation must be resolved: tau * h_max <= RESOLUTION_GATE
 RESOLUTION_GATE = 0.5
 UNDERFLOW_FLOOR = 1e-300
+# fewest samples in the upper half of the tau window that the fit accepts
+MIN_FIT_SAMPLES = 4
 # largest solve block, inclusion nodes x taus, checked on the vertex
 # count, which bounds it from above before any factorization: 8M complex
 # entries are 128 MB, and a solve holds a few arrays of that size at once
@@ -234,6 +236,11 @@ class IndicatorEngine:
         return IndicatorCurve(t=0.0, taus=taus, log_abs=log_abs, signs=signs)
 
 
+def _fit_window(taus: np.ndarray) -> np.ndarray:
+    """Mask of the samples in the upper half of the tau window."""
+    return taus >= 0.5 * (taus[0] + taus[-1])
+
+
 def estimate_support(curve: IndicatorCurve) -> SupportEstimate:
     """Least-squares slope of log|I(tau, 0)| against 2*tau.
 
@@ -245,11 +252,10 @@ def estimate_support(curve: IndicatorCurve) -> SupportEstimate:
         raise InvalidParameterError("support estimation expects a curve at t = 0")
     if len(curve) < 8:
         raise InvalidParameterError("support estimation needs at least 8 samples")
-    mid = 0.5 * (curve.taus[0] + curve.taus[-1])
-    window = curve.taus >= mid
-    if int(np.sum(window)) < 4:
+    window = _fit_window(curve.taus)
+    if int(np.sum(window)) < MIN_FIT_SAMPLES:
         raise EstimationError(
-            "fewer than 4 samples in the upper half of the tau window"
+            f"fewer than {MIN_FIT_SAMPLES} samples in the upper half of the tau window"
         )
     if np.any(curve.underflow[window]):
         raise EstimationError("underflowed samples inside the fit window")
@@ -309,17 +315,26 @@ def sweep(
     """Estimate the support function on uniform directions and enclose.
 
     Directions whose regime report has an empty applicable set are flagged
-    "outside proven regime" but still estimated.  A malformed tau grid
-    raises InvalidParameterError, an underresolved one
+    "outside proven regime" but still estimated; a direction is flagged
+    "no-signal" only when a sample in its fit window underflowed.  A
+    malformed tau grid, one with fewer than MIN_FIT_SAMPLES samples in the
+    upper half of its window, or a slab thickness ``delta`` that is not
+    > 0 raises InvalidParameterError, an underresolved grid
     ProbeResolutionError, and vertices times taus, an upper bound on the
     solve block, over MAX_SOLVE_BLOCK ResourceLimitError, all before any
     factorization.
     """
     if n_directions < 8:
         raise InvalidParameterError("sweep needs at least 8 directions")
+    if delta is not None and not delta > 0.0:
+        raise InvalidParameterError("slab thickness delta must be > 0")
     taus = _check_taus(mesh, taus)
     if len(taus) < 8:
         raise InvalidParameterError("sweep needs at least 8 tau samples")
+    if int(np.sum(_fit_window(taus))) < MIN_FIT_SAMPLES:
+        raise InvalidParameterError(
+            f"sweep needs at least {MIN_FIT_SAMPLES} taus in the upper half of the tau window"
+        )
     if mesh.num_vertices * len(taus) > MAX_SOLVE_BLOCK:
         raise ResourceLimitError(
             f"{len(taus)} taus times {mesh.num_vertices} vertices is {mesh.num_vertices * len(taus)} "

@@ -151,97 +151,45 @@ def _checked_solve(lu, matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return x, rel
 
 
-# vertex sets of at most this size end the nested dissection
-DISSECTION_LEAF = 64
-
-
-def _segment_ids(lengths: np.ndarray) -> np.ndarray:
-    """Index of its segment for every element of consecutive segments."""
-    return np.repeat(np.arange(len(lengths)), lengths)
+# coordinate bits per axis: the interleaved 52-bit key converts exactly
+# to a float64, whose exponent then gives its highest set bit
+MORTON_BITS = 26
 
 
 def dissection_order(points: np.ndarray, graph: sp.spmatrix) -> np.ndarray:
-    """Geometric nested-dissection order of a graph's vertices.
+    """Quadtree nested-dissection order of a graph's vertices.
 
     ``points`` holds one coordinate pair per vertex, and every stored entry
-    of ``graph`` is an edge.  A vertex set is sorted along its wider
-    coordinate and split at the median; the left vertices with a neighbour
-    on the right separate the halves and go after both, and each half is
-    ordered the same way down to DISSECTION_LEAF vertices, which keep their
-    order.  Returns a permutation of range(len(points)).
-
-    The sets of one level are split together.  ``seq`` holds their
-    vertices set after set, and each set fills the slice of the result
-    that starts at its ``out``: its left part less the separator, then its
-    right part, then the separator.  Coordinates are compared through
-    their ranks among the distinct values, so one stable sort of an integer
-    key sorts every set.  A left vertex with a right neighbour lies within
-    the longest edge's extent along the axis of the split, so only the left
-    vertices that close to the split are tested.
+    of ``graph`` is an edge.  The coordinates, quantized over their
+    bounding square, interleave into a Morton key, so every quadtree cell
+    is a range of keys and the highest bit in which two keys differ is the
+    split that halves the smallest cell holding both.  For every edge the
+    endpoint below that split separates the cell's halves, and each vertex
+    keeps the largest cell it separates.  Sorted by the last key of that
+    cell, then by the cell's size, each separator follows every other
+    vertex of its cell and the separators of the cells within it.  Returns
+    a permutation of range(len(points)).
     """
-    graph = graph.tocsr()
-    rows = _segment_ids(np.diff(graph.indptr))
-    values, ranks, reach = [], [], []
-    for x in points.T:
-        distinct, rank = np.unique(x, return_inverse=True)
-        ranks.append(rank + sum(map(len, values)))
-        values.append(distinct)
-        reach.append(np.max(np.abs(x[graph.indices] - x[rows]), initial=0.0))
-    values = np.concatenate(values)
-    result = np.empty(len(points), dtype=np.int64)
-    seq = np.arange(len(points))
-    lengths = np.array([len(points)])
-    out = np.array([0])
-    # numbers the right part of each set; levels never reuse a number
-    label = np.zeros(len(points), dtype=np.int64)
-    next_label = 1
-    while True:
-        split_again = lengths > DISSECTION_LEAF
-        set_of = _segment_ids(lengths)
-        at_leaf = ~split_again[set_of]
-        offset = out - (np.cumsum(lengths) - lengths)
-        result[offset[set_of[at_leaf]] + np.flatnonzero(at_leaf)] = seq[at_leaf]
-        seq, lengths, out = seq[~at_leaf], lengths[split_again], out[split_again]
-        if not len(seq):
-            return result
-
-        set_of = _segment_ids(lengths)
-        starts = np.cumsum(lengths) - lengths
-        r_x, r_y = ranks[0][seq], ranks[1][seq]
-        extent = [
-            values[np.maximum.reduceat(r, starts)] - values[np.minimum.reduceat(r, starts)]
-            for r in (r_x, r_y)
-        ]
-        wide_y = extent[1] > extent[0]
-        r = np.where(wide_y[set_of], r_y, r_x)
-        by_set = np.argsort(set_of * len(values) + r, kind="stable")
-        seq, coord = seq[by_set], values[r[by_set]]
-
-        half = lengths // 2
-        parts = np.column_stack([half, lengths - half]).ravel()
-        on_right = np.repeat(np.arange(len(parts)) % 2 == 1, parts)
-        set_label = next_label + np.arange(len(lengths))
-        next_label += len(lengths)
-        label[seq[on_right]] = set_label[set_of[on_right]]
-        split = coord[starts + half]
-        near = ~(split[set_of] - coord > np.where(wide_y, reach[1], reach[0])[set_of])
-        tested = np.flatnonzero(~on_right & near)
-        first = graph.indptr[seq[tested]]
-        counts = graph.indptr[seq[tested] + 1] - first
-        owner = _segment_ids(counts)
-        entry = first[owner] + np.arange(counts.sum()) - (np.cumsum(counts) - counts)[owner]
-        hit = label[graph.indices[entry]] == set_label[set_of[tested[owner]]]
-        cut = np.zeros(len(seq), dtype=bool)
-        cut[tested[owner[hit]]] = True
-
-        at_cut = np.flatnonzero(cut)
-        cut_set = set_of[at_cut]
-        n_cut = np.bincount(cut_set, minlength=len(lengths))
-        rank_in_set = np.arange(len(at_cut)) - np.searchsorted(cut_set, cut_set)
-        result[(out + lengths - n_cut)[cut_set] + rank_in_set] = seq[at_cut]
-        seq = seq[~cut]
-        lengths = np.column_stack([half - n_cut, lengths - half]).ravel()
-        out = np.column_stack([out, out + half - n_cut]).ravel()
+    if not len(points):
+        return np.zeros(0, dtype=np.int64)
+    lo = points.min(axis=0)
+    span = np.max(points.max(axis=0) - lo)
+    scale = (2**MORTON_BITS - 1) / span if span > 0.0 else 0.0
+    q = ((points - lo) * scale).astype(np.int64)
+    key = np.zeros(len(points), dtype=np.int64)
+    for bit in range(MORTON_BITS):
+        key |= ((q[:, 0] >> bit) & 1) << (2 * bit + 1)
+        key |= ((q[:, 1] >> bit) & 1) << (2 * bit)
+    graph = graph.tocoo()
+    u, v = key[graph.row], key[graph.col]
+    lower = np.where(u < v, graph.row, graph.col)
+    # the highest differing bit, counted from 1, is the log2 key count of
+    # the smallest cell holding both endpoints
+    split = np.frexp((u ^ v).astype(float))[1].astype(np.int64)
+    level = np.zeros(len(points), dtype=np.int64)
+    # one dtype for both: ufunc.at takes a slow path on mixed dtypes
+    np.maximum.at(level, lower, split)
+    return np.lexsort((level, key | ((1 << level) - 1)))
 
 
 class CondensedSystem:
@@ -259,8 +207,10 @@ class CondensedSystem:
     whose update is real, lives on H x H and depends on the mesh and S
     alone.  It is read off one factor of the real SPD background stiffness
     on E and H, assembled here in float64 from the real part of
-    ``identity_field``, with E in nested-dissection order and H last: the
-    trailing block L_HH U_HH of that factor is K0_HH - K_HE K_EE^-1 K_EH.
+    ``identity_field``, with E in the quadtree nested-dissection order of
+    ``dissection_order`` (it fills less than SuperLU's default COLAMD) and
+    H last: the trailing block L_HH U_HH of that factor is
+    K0_HH - K_HE K_EE^-1 K_EH.
     The exterior factor is checked once and freed; the complex |S| matrix
     ``schur`` is factorized once, in minimum-degree order on its symmetric
     pattern (it fills less than SuperLU's default COLAMD), and serves

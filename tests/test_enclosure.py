@@ -348,6 +348,24 @@ class TestIndicator:
         colamd = splu(schur)
         assert fill < colamd.L.nnz + colamd.U.nnz
 
+    def test_exterior_factor_fill_beats_colamd(self, monkeypatch):
+        # the real background on E and H, E in quadtree nested-dissection
+        # order and the halo last, fills less than SuperLU's default COLAMD
+        splu = scipy.sparse.linalg.splu
+        factored = []
+
+        def recording(matrix, *args, **kwargs):
+            lu = splu(matrix, *args, **kwargs)
+            if not np.iscomplexobj(matrix.data):
+                factored.append((matrix.copy(), lu.L.nnz + lu.U.nnz))
+            return lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+        IndicatorEngine(reduce_scene(centered_scene()), generate_mesh(UnitDisk(), 0.02))
+        [(exterior, fill)] = factored
+        colamd = splu(exterior)
+        assert fill < colamd.L.nnz + colamd.U.nnz
+
     @pytest.mark.parametrize(
         "domain, target_h, scene",
         [
@@ -614,6 +632,26 @@ class TestSweep:
         monkeypatch.setattr(enclosure, "IndicatorEngine", no_engine)
         with pytest.raises(InvalidParameterError):
             sweep(centered_scene(), coarse_mesh, 8, taus)
+
+    def test_short_fit_window_raises_before_factorization(self, coarse_mesh, monkeypatch):
+        # J is positive and finite at every sample of this grid, but only
+        # 8.5 lies in the upper half of its window
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factorized for a grid the fit cannot use")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
+        taus = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 8.5]
+        with pytest.raises(InvalidParameterError, match="upper half"):
+            sweep(centered_scene(), coarse_mesh, 8, taus)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan])
+    def test_bad_delta_raises_before_factorization(self, coarse_mesh, monkeypatch, delta):
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factorized for a bad slab thickness")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
+        with pytest.raises(InvalidParameterError, match="delta"):
+            sweep(centered_scene(), coarse_mesh, 8, COARSE_TAUS, delta=delta)
 
     def test_solve_block_over_budget_raises_before_factorization(
         self, coarse_mesh, monkeypatch

@@ -1,15 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from enclosure_kit.errors import InvalidParameterError, MeshError, SolveError
 from enclosure_kit.geometry import Disk, Rectangle, UnitDisk
 from enclosure_kit.materials import Inclusion, MaterialScene, SymMat2, reduce_scene
 from enclosure_kit.meshing import Mesh, generate_mesh
 from enclosure_kit.solver import (
-    DISSECTION_LEAF,
     RESIDUAL_TOL,
     DirichletSystem,
     assemble,
@@ -258,35 +259,6 @@ class TestDirichletSolve:
             system.solve_interior(rhs)
 
 
-def recursive_dissection_order(points, graph):
-    """The nested dissection written as a recursion over vertex sets: the
-    oracle that the level-by-level ``dissection_order`` must reproduce."""
-    graph = graph.tocsr()
-    pattern = sp.csr_matrix(
-        (np.ones(graph.nnz), graph.indices, graph.indptr), shape=graph.shape
-    )
-    on_right = np.zeros(len(points))
-    order = []
-
-    def dissect(idx):
-        if len(idx) <= DISSECTION_LEAF:
-            order.append(idx)
-            return
-        p = points[idx]
-        axis = int(np.argmax(np.ptp(p, axis=0)))
-        idx = idx[np.argsort(p[:, axis], kind="stable")]
-        left, right = idx[: len(idx) // 2], idx[len(idx) // 2 :]
-        on_right[right] = 1.0
-        cut = pattern[left] @ on_right > 0.0
-        on_right[right] = 0.0
-        dissect(left[~cut])
-        dissect(right)
-        order.append(left[cut])
-
-    dissect(np.arange(len(points)))
-    return np.concatenate(order)
-
-
 def interior_graph(domain, target_h, hole):
     """Points and stiffness pattern of a mesh's interior vertices, less
     those inside the reference disk when ``hole`` is set."""
@@ -309,6 +281,19 @@ class TestDissectionOrder:
         assert np.array_equal(first, dissection_order(points, graph))
 
     @pytest.mark.parametrize(
+        "points",
+        [np.zeros((0, 2)), np.array([[0.3, -0.2]]), np.full((5, 2), 0.25)],
+        ids=["empty", "one-vertex", "coincident"],
+    )
+    def test_degenerate_inputs(self, points):
+        # coincident points span no square; a zero span must not divide
+        graph = sp.csr_matrix(np.ones((len(points), len(points))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            order = dissection_order(points, graph)
+        assert np.array_equal(np.sort(order), np.arange(len(points)))
+
+    @pytest.mark.parametrize(
         "domain, target_h, hole",
         [
             (UnitDisk(), 0.04, False),
@@ -318,23 +303,22 @@ class TestDissectionOrder:
             # a grid: many tied coordinates
             (Rectangle(-1.5, 1.5, -1.0, 1.0), 0.1, False),
             (Rectangle(-1.5, 1.5, -1.0, 1.0), 0.05, False),
-            # a square: sets as wide as they are tall take the first axis
             (UNIT_SQUARE, 0.05, False),
         ],
     )
-    def test_matches_the_recursion_on_meshes(self, domain, target_h, hole):
+    def test_fill_at_most_colamd(self, domain, target_h, hole):
+        # the SPD factor in dissection order, as the condensed system
+        # factorizes the exterior, against SuperLU's default column order
         points, graph = interior_graph(domain, target_h, hole)
-        assert np.array_equal(
-            dissection_order(points, graph), recursive_dissection_order(points, graph)
-        )
-
-    def test_leaf_sized_input_keeps_its_order(self):
-        points, graph = interior_graph(UNIT_SQUARE, 0.25, hole=False)
-        assert 0 < len(points) <= DISSECTION_LEAF
         order = dissection_order(points, graph)
-        assert np.array_equal(order, recursive_dissection_order(points, graph))
-        assert np.array_equal(order, np.arange(len(points)))
-        assert np.array_equal(dissection_order(points[:0], graph[:0][:, :0]), [])
+        lu = spla.splu(
+            graph[order][:, order].tocsc(),
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        colamd = spla.splu(graph.tocsc(), permc_spec="COLAMD")
+        assert lu.L.nnz + lu.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
     def test_every_stored_entry_is_an_edge(self):
         # explicit zeros are edges, and an isolated vertex has none
@@ -344,7 +328,7 @@ class TestDissectionOrder:
         graph = sp.block_diag([graph, sp.csr_matrix((1, 1))], format="csr")
         points = np.vstack([points, [0.05, 0.05]])
         order = dissection_order(points, graph)
-        assert np.array_equal(order, recursive_dissection_order(points, graph))
+        assert np.array_equal(np.sort(order), np.arange(len(points)))
         graph.eliminate_zeros()
         assert not np.array_equal(order, dissection_order(points, graph))
 
