@@ -32,7 +32,7 @@ from .errors import (
 from .geometry import ConvexPolygon, DirectionFrame
 from .materials import MaterialScene, ReducedScene
 from .meshing import Mesh
-from .solver import CondensedSystem, assemble, reduced_field
+from .solver import CondensedSystem, assemble
 
 # probe oscillation must be resolved: tau * h_max <= RESOLUTION_GATE
 RESOLUTION_GATE = 0.5
@@ -165,9 +165,11 @@ class IndicatorEngine:
     exponentially small; solving the background problem numerically and
     subtracting pairings would bury it under discretization pollution.
 
-    dA is assembled once, from the triangles around the inclusion only,
-    and kept as ``contrast``, its block on ``nodes``, the vertices of
-    inclusion triangles: it has no entries in any other row or column.
+    The coefficient is read by triangle label from a table of one tensor
+    per inclusion (``solver.reduced_tensors``), never as a whole-mesh
+    array.  dA is assembled once, from the triangles around the inclusion
+    only, and kept as ``contrast``, its block on ``nodes``, the vertices
+    of inclusion triangles: it has no entries in any other row or column.
     Probes are evaluated on those nodes alone, and the source, the
     scattered right-hand side and the pairing all come from that block.
     w is solved on the interior unknowns, so every node must be an
@@ -180,22 +182,22 @@ class IndicatorEngine:
 
     def __init__(self, reduced: ReducedScene, mesh: Mesh):
         self.mesh = mesh
-        coeff = reduced_field(mesh, reduced)
-        d_a = coeff - np.eye(2)
-        touched = np.unique(mesh.triangles[np.any(d_a != 0.0, axis=(1, 2))])
+        labels = solver.inclusion_labels(mesh, [inc.shape for inc in reduced.inclusions])
+        tensors = solver.reduced_tensors(reduced)
+        d_a = tensors - np.eye(2)
+        touched = np.unique(mesh.triangles[np.any(d_a != 0.0, axis=(1, 2))[labels]])
         # Every triangle with a vertex in `touched`, not the inclusion
         # triangles alone: SciPy sums a row's duplicate entries after an
         # unstable per-row sort, so every entry of the row, zeros included,
-        # sets the summation order.  With all of them the rows of the
-        # inclusion vertices match a whole-mesh assembly bit for bit, for
-        # dA here and for the stiffness block K_SS below.
+        # sets the summation order.  With all of them, on the mesh's vertex
+        # ids, the inclusion vertices' rows match a whole-mesh assembly bit
+        # for bit, for dA here and for the stiffness block K_SS below.
         near = np.any(np.isin(mesh.triangles, touched), axis=1)
-        verts, local = np.unique(mesh.triangles[near], return_inverse=True)
-        delta_k = assemble(mesh.vertices[verts], local.reshape(-1, 3), d_a[near])
+        triangles, near_labels = mesh.triangles[near], labels[near]
+        delta_k = assemble(mesh.vertices, triangles, d_a[near_labels])
         delta_k.eliminate_zeros()
-        nodes = np.unique(delta_k.indices)
-        self.nodes = verts[nodes]
-        self.contrast = delta_k[nodes][:, nodes]
+        self.nodes = np.unique(delta_k.indices)
+        self.contrast = delta_k[self.nodes][:, self.nodes]
         if np.any(np.isin(self.nodes, mesh.boundary_vertices)):
             raise InvalidParameterError(
                 "an inclusion reaches the domain boundary on this mesh; "
@@ -203,8 +205,8 @@ class IndicatorEngine:
             )
         self._condensed = None
         if len(self.nodes):
-            k_near = solver.assemble(mesh.vertices[verts], local.reshape(-1, 3), coeff[near])
-            self._condensed = CondensedSystem(mesh, self.nodes, k_near[nodes][:, nodes])
+            k_near = solver.assemble(mesh.vertices, triangles, tensors[near_labels])
+            self._condensed = CondensedSystem(mesh, self.nodes, k_near[self.nodes][:, self.nodes])
 
     def pairing_differences(self, frame: DirectionFrame, taus) -> np.ndarray:
         """Complex pairing differences for the shifted probes, one per tau."""
@@ -318,8 +320,8 @@ def sweep(
     "outside proven regime" but still estimated; a direction is flagged
     "no-signal" only when a sample in its fit window underflowed.  A
     malformed tau grid, one with fewer than MIN_FIT_SAMPLES samples in the
-    upper half of its window, or a slab thickness ``delta`` that is not
-    > 0 raises InvalidParameterError, an underresolved grid
+    upper half of its window, a non-integer direction count or a slab
+    thickness ``delta`` that is not > 0 raises InvalidParameterError, an underresolved grid
     ProbeResolutionError, and vertices times taus, an upper bound on the
     solve block, over MAX_SOLVE_BLOCK ResourceLimitError, all before any
     factorization.
@@ -340,10 +342,11 @@ def sweep(
             f"{len(taus)} taus times {mesh.num_vertices} vertices is {mesh.num_vertices * len(taus)} "
             f"entries; this upper bound on the solve block exceeds the budget of {MAX_SOLVE_BLOCK}"
         )
+    frames = geometry.uniform_directions(n_directions)
     reduced = materials.reduce_scene(scene)
     engine = IndicatorEngine(reduced, mesh)
     results = []
-    for frame in geometry.uniform_directions(n_directions):
+    for frame in frames:
         curve = engine.curve(frame, taus)
         flags: list[str] = []
         h_exact = None

@@ -14,6 +14,7 @@ support-function estimates as an intersection of half planes
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -24,6 +25,8 @@ from .errors import DegenerateHullError, InvalidParameterError
 UNIT_TOL = 1e-12
 # bound on point coordinates and shape sizes: a product of two stays finite
 COORD_LIMIT = 1e150
+# angular grid of hausdorff_support_distance
+HAUSDORFF_DIRECTIONS = 4096
 
 Vec2 = tuple[float, float]
 
@@ -70,7 +73,11 @@ class DirectionFrame:
 
 
 def uniform_directions(n: int) -> list[DirectionFrame]:
-    """n probing frames at angles 2*pi*k/n, k = 0..n-1."""
+    """n probing frames at angles 2*pi*k/n, k = 0..n-1; n is an integer."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidParameterError(f"direction count {n!r} is not an integer") from None
     if n < 1:
         raise InvalidParameterError("need at least one direction")
     return [DirectionFrame.from_angle(2.0 * math.pi * k / n) for k in range(n)]
@@ -339,15 +346,15 @@ def _tidy_polygon(points: np.ndarray, tol: float) -> np.ndarray:
     return np.array(out) if out else np.empty((0, 2))
 
 
-def hausdorff_support_distance(a, b, n_directions: int = 4096) -> float:
+def hausdorff_support_distance(a, b) -> float:
     """Hausdorff distance between two convex bodies via support sampling.
 
     For convex sets the Hausdorff distance equals the sup over unit
-    directions of |h_a - h_b|; a dense angular grid approximates it from
-    below with O(1/n^2) error.  ``a`` and ``b`` are anything exposing
-    ``support``.
+    directions of |h_a - h_b|; n = HAUSDORFF_DIRECTIONS equally spaced
+    angles approximate it from below with O(1/n^2) error.  ``a`` and ``b``
+    are anything exposing ``support``.
     """
-    ang = 2.0 * math.pi * np.arange(n_directions) / n_directions
+    ang = 2.0 * math.pi * np.arange(HAUSDORFF_DIRECTIONS) / HAUSDORFF_DIRECTIONS
     worst = 0.0
     for c, s in zip(np.cos(ang), np.sin(ang)):
         t = (c, s)

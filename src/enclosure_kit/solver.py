@@ -39,37 +39,37 @@ def identity_field(mesh: Mesh) -> np.ndarray:
     return m
 
 
-def _fill_field(mesh: Mesh, base: np.ndarray, per_inclusion) -> np.ndarray:
+def inclusion_labels(mesh: Mesh, shapes) -> np.ndarray:
+    """Per triangle, the index of the shape holding its centroid, or -1."""
     centroids = mesh.centroids()
-    m = np.broadcast_to(base, (mesh.num_triangles, 2, 2)).copy()
-    for shape, matrix in per_inclusion:
-        mask = shape.contains_mask(centroids)
-        m[mask] = matrix
-    return m
+    labels = np.full(mesh.num_triangles, -1)
+    for k, shape in enumerate(shapes):
+        labels[shape.contains_mask(centroids)] = k
+    return labels
 
 
 def scene_field(mesh: Mesh, scene: MaterialScene) -> np.ndarray:
     """sigma - i*omega*eps sampled at centroids, original variables."""
-    base = (scene.sigma0 - 1j * scene.omega * scene.eps0) * np.eye(2)
-    per_inc = []
-    for k, inc in enumerate(scene.inclusions):
-        a = scene.sigma_on(k).as_array() - 1j * scene.omega * scene.eps_on(k).as_array()
-        per_inc.append((inc.shape, a))
-    return _fill_field(mesh, base, per_inc)
+    table = [
+        scene.sigma_on(k).as_array() - 1j * scene.omega * scene.eps_on(k).as_array()
+        for k in range(len(scene.inclusions))
+    ]
+    table.append((scene.sigma0 - 1j * scene.omega * scene.eps0) * np.eye(2))
+    return np.array(table)[inclusion_labels(mesh, [inc.shape for inc in scene.inclusions])]
+
+
+def reduced_tensors(reduced: ReducedScene) -> np.ndarray:
+    """(I + a) - i*omega*b per inclusion, then the identity that label -1 selects."""
+    table = [
+        np.eye(2) + inc.a.as_array() - 1j * reduced.omega * inc.b.as_array()
+        for inc in reduced.inclusions
+    ]
+    return np.array(table + [np.eye(2, dtype=complex)])
 
 
 def reduced_field(mesh: Mesh, reduced: ReducedScene) -> np.ndarray:
     """(I + a) - i*omega*b sampled at centroids, identity background."""
-    base = np.eye(2, dtype=complex)
-    per_inc = []
-    for inc in reduced.inclusions:
-        a = (
-            np.eye(2)
-            + inc.a.as_array()
-            - 1j * reduced.omega * inc.b.as_array()
-        )
-        per_inc.append((inc.shape, a))
-    return _fill_field(mesh, base, per_inc)
+    return reduced_tensors(reduced)[inclusion_labels(mesh, [i.shape for i in reduced.inclusions])]
 
 
 def assemble(
@@ -151,6 +151,14 @@ def _checked_solve(lu, matrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return x, rel
 
 
+def _factorize(name: str, matrix: sp.spmatrix, **options):
+    """SuperLU factor of ``matrix``; SolveError naming it if SuperLU fails."""
+    try:
+        return spla.splu(matrix, **options)
+    except RuntimeError as exc:
+        raise SolveError(f"{name} factorization failed: {exc}") from exc
+
+
 # coordinate bits per axis: the interleaved 52-bit key converts exactly
 # to a float64, whose exponent then gives its highest set bit
 MORTON_BITS = 26
@@ -229,15 +237,8 @@ class CondensedSystem:
         n_e = len(exterior)
         m = k[order][:, order].tocsc()
         del k, k_e
-        try:
-            lu = spla.splu(
-                m,
-                permc_spec="NATURAL",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:
-            raise SolveError(f"exterior factorization failed: {exc}") from exc
+        symmetric = {"SymmetricMode": True}
+        lu = _factorize("exterior", m, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=symmetric)
         tail = np.arange(n_e, len(order))
         if not (np.array_equal(lu.perm_r[tail], tail) and np.array_equal(lu.perm_c[tail], tail)):
             raise SolveError("the exterior factorization moved the halo off the end")
@@ -247,17 +248,14 @@ class CondensedSystem:
             raise SolveError(
                 f"exterior factor residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}", residual=rel
             )
-        # lu.L and lu.U each copy a whole factor; each is dropped once sliced
+        # reading lu.L or lu.U copies both whole factors, cached until lu goes
         update = lu.L[n_e:, n_e:].toarray() @ lu.U[n_e:, n_e:].toarray() - m[n_e:, n_e:].toarray()
         del lu, m
         rows, cols = np.meshgrid(halo, halo, indexing="ij")
         self.schur = (
             block + sp.csr_matrix((update.ravel(), (rows.ravel(), cols.ravel())), shape=block.shape)
         ).tocsc()
-        try:
-            self._lu = spla.splu(self.schur, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SolveError(f"factorization failed: {exc}") from exc
+        self._lu = _factorize("inclusion", self.schur, permc_spec="MMD_AT_PLUS_A")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """w on S, rows in ``nodes`` order, for right-hand sides given on S
@@ -296,10 +294,7 @@ class DirichletSystem:
         k_rows = self.K.tocsc()[self.interior]
         self.K_ii = k_rows[:, self.interior]
         self.K_ib = k_rows[:, self.boundary]
-        try:
-            self._lu = spla.splu(self.K_ii)
-        except RuntimeError as exc:
-            raise SolveError(f"factorization failed: {exc}") from exc
+        self._lu = _factorize("interior", self.K_ii)
 
     def solve_interior(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve K_II x = rhs with zero boundary values, under the residual

@@ -1,10 +1,11 @@
-"""Random valid scenes for algebra and classification checks."""
+"""Random valid scenes for algebra and classification checks, and a fixed
+two-inclusion scene."""
 
 import math
 
 import numpy as np
 
-from enclosure_kit.geometry import Disk
+from enclosure_kit.geometry import AxisEllipse, ConvexPolygon, Disk
 from enclosure_kit.materials import Inclusion, MaterialScene, SymMat2
 
 
@@ -53,3 +54,23 @@ def random_definite_scene(rng):
         eig = np.linalg.eigvalsh(lhs)
         if min(abs(eig[0]), abs(eig[1])) >= 1e-3:
             return scene
+
+
+def ellipse_and_polygon_scene():
+    return MaterialScene(
+        sigma0=1.0,
+        eps0=1.0,
+        omega=1.0,
+        inclusions=(
+            Inclusion(
+                AxisEllipse((-0.45, 0.1), 0.3, 0.18),
+                SymMat2(0.8, 0.1, 0.6),
+                SymMat2(0.2, 0.0, 0.1),
+            ),
+            Inclusion(
+                ConvexPolygon(((0.3, -0.3), (0.75, -0.2), (0.45, 0.25))),
+                SymMat2.identity(),
+                SymMat2.zero(),
+            ),
+        ),
+    )

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,8 +24,6 @@ from enclosure_kit.errors import (
     SolveError,
 )
 from enclosure_kit.geometry import (
-    AxisEllipse,
-    ConvexPolygon,
     DirectionFrame,
     Disk,
     Rectangle,
@@ -37,6 +37,7 @@ from enclosure_kit.materials import (
     scene_support,
 )
 from enclosure_kit.meshing import generate_mesh
+from scene_factory import ellipse_and_polygon_scene
 
 E1 = DirectionFrame((1.0, 0.0))
 COARSE_TAUS = np.linspace(2.0, 8.0, 9)
@@ -125,26 +126,6 @@ def near_insulating_scene(k):
         omega=1e-7,
         inclusions=(
             Inclusion(Disk((0.3, 0.0), 0.2), SymMat2.iso(-(1.0 - k)), SymMat2.zero()),
-        ),
-    )
-
-
-def ellipse_and_polygon_scene():
-    return MaterialScene(
-        sigma0=1.0,
-        eps0=1.0,
-        omega=1.0,
-        inclusions=(
-            Inclusion(
-                AxisEllipse((-0.45, 0.1), 0.3, 0.18),
-                SymMat2(0.8, 0.1, 0.6),
-                SymMat2(0.2, 0.0, 0.1),
-            ),
-            Inclusion(
-                ConvexPolygon(((0.3, -0.3), (0.75, -0.2), (0.45, 0.25))),
-                SymMat2.identity(),
-                SymMat2.zero(),
-            ),
         ),
     )
 
@@ -393,6 +374,62 @@ class TestIndicator:
             engine.contrast.data.view(np.uint64), block.data.view(np.uint64)
         )
 
+    def test_engine_samples_no_whole_mesh_field(self, coarse_mesh, monkeypatch):
+        # the engine reads the coefficient by triangle label from a table
+        # of tensors, never through a whole-mesh field
+        reduced = reduce_scene(centered_scene())
+        reference = IndicatorEngine(reduced, coarse_mesh)
+        raw = reference.pairing_differences(E1, COARSE_TAUS)
+
+        def no_field(*args):
+            raise AssertionError("sampled a whole-mesh coefficient field")
+
+        for module in (solver, enclosure):
+            for name in ("reduced_field", "scene_field"):
+                monkeypatch.setattr(module, name, no_field, raising=False)
+        engine = IndicatorEngine(reduced, coarse_mesh)
+        block = reference.contrast
+        assert np.array_equal(engine.nodes, reference.nodes)
+        assert np.array_equal(engine.contrast.indptr, block.indptr)
+        assert np.array_equal(engine.contrast.indices, block.indices)
+        assert np.array_equal(
+            engine.contrast.data.view(np.uint64), block.data.view(np.uint64)
+        )
+        assert np.array_equal(engine.pairing_differences(E1, COARSE_TAUS), raw)
+
+    def test_exterior_factor_does_not_outlive_setup(self, coarse_mesh, monkeypatch):
+        # its lu.L and lu.U copies are cached on it and go only with it
+        splu = scipy.sparse.linalg.splu
+        exterior = []
+
+        def weakly_held(matrix, *args, **kwargs):
+            lu = splu(matrix, *args, **kwargs)
+            if np.iscomplexobj(matrix.data):
+                return lu
+            proxy = FactorProxy(lu, 1.0, False)
+            exterior.append(weakref.ref(proxy))
+            return proxy
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", weakly_held)
+        engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
+        gc.collect()
+        [factor] = exterior
+        assert factor() is None
+        assert engine._condensed is not None
+
+    @pytest.mark.parametrize("name", ["exterior", "inclusion"])
+    def test_failed_factorization_names_the_factor(self, coarse_mesh, monkeypatch, name):
+        splu = scipy.sparse.linalg.splu
+
+        def failing(matrix, *args, **kwargs):
+            if np.iscomplexobj(matrix.data) == (name == "inclusion"):
+                raise RuntimeError("Factor is exactly singular")
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", failing)
+        with pytest.raises(SolveError, match=f"^{name} factorization failed: Factor is exactly"):
+            IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
+
     def test_refuses_inclusion_crossing_the_boundary(self, coarse_mesh):
         # a library scene that skips require_margin; its boundary nodes
         # would get no scattering correction
@@ -607,9 +644,14 @@ class TestSweep:
             assert d.estimate is not None
             assert "outside proven regime" in d.flags
 
-    def test_requires_enough_directions(self, coarse_mesh):
-        with pytest.raises(InvalidParameterError):
-            sweep(centered_scene(), coarse_mesh, 4, COARSE_TAUS)
+    def test_requires_enough_directions(self, coarse_mesh, monkeypatch):
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factorized for a bad direction count")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
+        for n_directions in (4, 8.5, np.float64(9.0)):
+            with pytest.raises(InvalidParameterError):
+                sweep(centered_scene(), coarse_mesh, n_directions, COARSE_TAUS)
 
     def test_unresolved_tau_raises_before_factorization(self, coarse_mesh, monkeypatch):
         def no_factorization(*args, **kwargs):

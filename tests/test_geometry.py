@@ -79,6 +79,12 @@ class TestDirectionFrame:
             assert abs(math.hypot(*f.theta) - 1.0) < 1e-14
         assert np.allclose(frames[4].theta, (0.0, 1.0), atol=1e-15)
 
+    @pytest.mark.parametrize("n", [2.5, np.float64(9.0), "9"])
+    def test_uniform_directions_refuses_non_integer_count(self, n):
+        with pytest.raises(InvalidParameterError, match="not an integer"):
+            uniform_directions(n)
+        assert len(uniform_directions(np.int64(9))) == 9
+
 
 class TestSupportFunction:
     def test_disk_along_axis(self):

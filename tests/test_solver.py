@@ -22,6 +22,7 @@ from enclosure_kit.solver import (
     scene_field,
 )
 from error_norms import p1_h1_seminorm_error, p1_l2_error
+from scene_factory import ellipse_and_polygon_scene
 
 UNIT_SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
 
@@ -162,6 +163,33 @@ class TestCoefficientFields:
         inside = scene.inclusions[0].shape.contains_mask(mesh.centroids())
         assert np.allclose(field[inside][:, 0, 0], 2.0 - 1.0j)
         assert np.allclose(field[~inside][:, 0, 0], 1.0 - 1.0j)
+        # two shapes in a rectangle: shape k's tensor inside it, the
+        # background elsewhere, in both the original and the reduced field
+        mesh = generate_mesh(Rectangle(-1.5, 1.5, -1.0, 1.0), 0.1)
+        scene = ellipse_and_polygon_scene()
+        reduced = reduce_scene(scene)
+        masks = [inc.shape.contains_mask(mesh.centroids()) for inc in scene.inclusions]
+        assert all(np.any(mask) for mask in masks)
+        outside = ~np.logical_or(*masks)
+        for field, tensors, background in (
+            (
+                scene_field(mesh, scene),
+                [scene.sigma_on(k).as_array() - 1j * scene.eps_on(k).as_array() for k in (0, 1)],
+                (1.0 - 1.0j) * np.eye(2),
+            ),
+            (
+                reduced_field(mesh, reduced),
+                [
+                    np.eye(2) + inc.a.as_array() - 1j * inc.b.as_array()
+                    for inc in reduced.inclusions
+                ],
+                np.eye(2),
+            ),
+        ):
+            assert field.shape == (mesh.num_triangles, 2, 2)
+            for mask, tensor in zip(masks, tensors):
+                assert np.array_equal(field[mask], np.broadcast_to(tensor, field[mask].shape))
+            assert np.array_equal(field[outside], np.broadcast_to(background, field[outside].shape))
 
 
 class TestDirichletSolve:

@@ -19,6 +19,7 @@ LIBRARY = ROOT / "src" / "enclosure_kit"
 ALLOWED = {
     "cgo_trace": "test reference: the probe trace of the two-solve check",
     "scene_field": "test reference: original-variable field of criterion 5",
+    "reduced_field": "test reference: whole-mesh reduced field of the whole-interior solves",
     "dtn_pairing": "test reference: weak Neumann pairing of criteria 4 and 5",
     "difference_pairing": "test reference: pairing difference of the two-solve check",
     "shifted": "criterion 7 moves indicator curves to other heights",
