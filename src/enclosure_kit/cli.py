@@ -5,6 +5,10 @@ parameters, and the mesh resolution.  Symmetric matrices are entered as
 three numbers [a11, a12, a22]; full 2x2 entry is rejected so asymmetry can
 never slip in.  Unknown keys anywhere are errors.
 
+The field tables (``CONFIG_FIELDS`` and the tables it refers to) are the one
+place where a config key is declared, and ``COMMANDS`` the one place where a
+subcommand and its options are.
+
 Every failure is an ``EnclosureKitError``; ``main`` prints it and exits
 with the error's ``exit_code`` (see ``errors``).
 """
@@ -53,9 +57,9 @@ class ScenarioConfig:
     tau_min: float
     tau_max: float
     n_tau: int
-    delta: float | None
     target_h: float
     output_dir: str | None
+    delta: float | None = None
 
     def taus(self) -> np.ndarray:
         return np.linspace(self.tau_min, self.tau_max, self.n_tau)
@@ -65,7 +69,7 @@ class ScenarioConfig:
 # parsing
 
 
-def _require_keys(d: dict, path: str, required: tuple, optional: tuple = ()) -> None:
+def _require_keys(d: dict, path: str, required: tuple, optional: tuple) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = sorted(set(d) - set(required) - set(optional))
@@ -107,122 +111,118 @@ def _symmat(value, path: str) -> SymMat2:
     return SymMat2(*(_number(v, f"{path}[{i}]") for i, v in enumerate(value)))
 
 
-def _points(value, path: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list of [x, y]")
-    return tuple(_point(v, f"{path}[{i}]") for i, v in enumerate(value))
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
+    return value
 
 
-# `type` -> (class, converter per field); the other keys of a tagged object
-# are the class's field names, converted in this order
+def _list(convert, what: str):
+    """Converter of a list whose items ``convert`` parses, to a tuple."""
+    def parse(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected {what}")
+        return tuple(convert(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return parse
+
+
+def _object(cls, fields: dict, optional: tuple = ()):
+    """Converter of a JSON object to ``cls(**converted fields)``.
+
+    ``fields`` maps each key to its converter, in the order they run; a key
+    in ``optional`` may be missing or null and then keeps ``cls``'s default.
+    An InvalidParameterError from ``cls`` becomes a ConfigError naming the
+    object.  The root has the empty path, and its keys bare names.
+    """
+    required = tuple(name for name in fields if name not in optional)
+
+    def parse(d, path: str):
+        _require_keys(d, path or "config", required, optional)
+        args = {
+            name: convert(d[name], f"{path}.{name}" if path else name)
+            for name, convert in fields.items()
+            if name not in optional or d.get(name) is not None
+        }
+        try:
+            return cls(**args)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+    return parse
+
+
+def _parse_tagged(types: dict, what: str):
+    """Converter of a ``{"type": ..., field: ...}`` entry, by ``types[type]``."""
+    def parse(d, path: str):
+        if not isinstance(d, dict) or "type" not in d:
+            raise ConfigError(f"{path}: expected an object with a 'type' key")
+        kind = d["type"]
+        # a list or object `type` is unhashable, so test for a string first
+        if not isinstance(kind, str) or kind not in types:
+            raise ConfigError(f"{path}.type: unknown {what} type {kind!r}")
+        return types[kind]({k: v for k, v in d.items() if k != "type"}, path)
+
+    return parse
+
+
+# The field tables: every config key with the converter of its value, in the
+# order they run, and the converter of a tagged entry's other keys per type.
 SHAPE_TYPES = {
-    "disk": (Disk, {"center": _point, "radius": _number}),
-    "axis_ellipse": (AxisEllipse, {"center": _point, "semi_a": _number, "semi_b": _number}),
-    "convex_polygon": (ConvexPolygon, {"vertices": _points}),
+    "disk": _object(Disk, {"center": _point, "radius": _number}),
+    "axis_ellipse": _object(AxisEllipse, {"center": _point, "semi_a": _number, "semi_b": _number}),
+    "convex_polygon": _object(ConvexPolygon, {"vertices": _list(_point, "a list of [x, y]")}),
 }
 DOMAIN_TYPES = {
-    "unit_disk": (UnitDisk, {}),
-    "rectangle": (
-        Rectangle,
-        {"x_min": _number, "x_max": _number, "y_min": _number, "y_max": _number},
+    "unit_disk": _object(UnitDisk, {}),
+    "rectangle": _object(
+        Rectangle, {"x_min": _number, "x_max": _number, "y_min": _number, "y_max": _number}
     ),
 }
-
-
-def _parse_tagged(d: dict, path: str, types: dict, what: str):
-    """Build the object a ``{"type": ..., field: ...}`` config entry names."""
-    if not isinstance(d, dict) or "type" not in d:
-        raise ConfigError(f"{path}: expected an object with a 'type' key")
-    kind = d["type"]
-    # a list or object `type` is unhashable, so test for a string first
-    if not isinstance(kind, str) or kind not in types:
-        raise ConfigError(f"{path}.type: unknown {what} type {kind!r}")
-    cls, fields = types[kind]
-    _require_keys(d, path, ("type", *fields))
-    args = {name: convert(d[name], f"{path}.{name}") for name, convert in fields.items()}
-    try:
-        return cls(**args)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+INCLUSION_FIELDS = {"shape": _parse_tagged(SHAPE_TYPES, "shape"), "alpha": _symmat, "beta": _symmat}
+SCENE_FIELDS = {
+    "sigma0": _number,
+    "eps0": _number,
+    "omega": _number,
+    "inclusions": _list(_object(Inclusion, INCLUSION_FIELDS), "a list"),
+}
+SWEEP_FIELDS = {
+    "n_directions": _integer,
+    "tau_min": _number,
+    "tau_max": _number,
+    "n_tau": _integer,
+    "delta": _number,
+}
+CONFIG_FIELDS = {
+    "domain": _parse_tagged(DOMAIN_TYPES, "domain"),
+    "material": _object(MaterialScene, SCENE_FIELDS),
+    "sweep": _object(dict, SWEEP_FIELDS, ("delta",)),
+    "mesh": _object(dict, {"target_h": _number}),
+    "output_dir": _string,
+}
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
-    """Validate a scenario dictionary; reject unknown keys everywhere."""
-    _require_keys(
-        raw, "config", ("domain", "material", "sweep", "mesh"), ("output_dir",)
+    """Validate a scenario dictionary: each value by the field tables, then cross-field rules."""
+    parsed = _object(dict, CONFIG_FIELDS, ("output_dir",))(raw, "")
+    config = ScenarioConfig(
+        parsed["domain"], parsed["material"], **parsed["sweep"], **parsed["mesh"],
+        output_dir=parsed.get("output_dir"),
     )
-    domain = _parse_tagged(raw["domain"], "domain", DOMAIN_TYPES, "domain")
-
-    mat = raw["material"]
-    _require_keys(mat, "material", ("sigma0", "eps0", "omega", "inclusions"))
-    if not isinstance(mat["inclusions"], list):
-        raise ConfigError("material.inclusions: expected a list")
-    inclusions = []
-    for i, inc in enumerate(mat["inclusions"]):
-        path = f"material.inclusions[{i}]"
-        _require_keys(inc, path, ("shape", "alpha", "beta"))
-        inclusions.append(
-            Inclusion(
-                shape=_parse_tagged(inc["shape"], path + ".shape", SHAPE_TYPES, "shape"),
-                alpha=_symmat(inc["alpha"], path + ".alpha"),
-                beta=_symmat(inc["beta"], path + ".beta"),
-            )
-        )
-    try:
-        scene = MaterialScene(
-            sigma0=_number(mat["sigma0"], "material.sigma0"),
-            eps0=_number(mat["eps0"], "material.eps0"),
-            omega=_number(mat["omega"], "material.omega"),
-            inclusions=tuple(inclusions),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"material: {exc}") from exc
-
-    sweep_d = raw["sweep"]
-    _require_keys(
-        sweep_d, "sweep", ("n_directions", "tau_min", "tau_max", "n_tau"), ("delta",)
-    )
-    n_directions = _integer(sweep_d["n_directions"], "sweep.n_directions")
-    tau_min = _number(sweep_d["tau_min"], "sweep.tau_min")
-    tau_max = _number(sweep_d["tau_max"], "sweep.tau_max")
-    n_tau = _integer(sweep_d["n_tau"], "sweep.n_tau")
-    if not (0.0 < tau_min < tau_max):
+    if not (0.0 < config.tau_min < config.tau_max):
         raise ConfigError("sweep: need 0 < tau_min < tau_max")
-    if not 2 <= n_tau <= MAX_SAMPLES:
+    if not 2 <= config.n_tau <= MAX_SAMPLES:
         raise ConfigError(f"sweep.n_tau: need 2 to {MAX_SAMPLES} samples")
-    if not 1 <= n_directions <= MAX_SAMPLES:
+    if not 1 <= config.n_directions <= MAX_SAMPLES:
         raise ConfigError(f"sweep.n_directions: need 1 to {MAX_SAMPLES}")
-    delta = None
-    if sweep_d.get("delta") is not None:
-        delta = _number(sweep_d["delta"], "sweep.delta")
-        if not delta > 0.0:
-            raise ConfigError("sweep.delta: must be > 0")
-
-    mesh_d = raw["mesh"]
-    _require_keys(mesh_d, "mesh", ("target_h",))
-    target_h = _number(mesh_d["target_h"], "mesh.target_h")
-
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("output_dir: expected a string")
-
-    for i, inc in enumerate(scene.inclusions):
+    if config.delta is not None and not config.delta > 0.0:
+        raise ConfigError("sweep.delta: must be > 0")
+    for i, inc in enumerate(config.scene.inclusions):
         try:
-            require_margin(domain, inc.shape)
+            require_margin(config.domain, inc.shape)
         except InvalidParameterError as exc:
             raise ConfigError(f"material.inclusions[{i}]: {exc}") from exc
-
-    return ScenarioConfig(
-        domain=domain,
-        scene=scene,
-        n_directions=n_directions,
-        tau_min=tau_min,
-        tau_max=tau_max,
-        n_tau=n_tau,
-        delta=delta,
-        target_h=target_h,
-        output_dir=output_dir,
-    )
+    return config
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -311,27 +311,17 @@ def cmd_reduce(config: ScenarioConfig) -> int:
 
 def cmd_check(config: ScenarioConfig, direction: int | None = None, as_json: bool = False) -> int:
     frames = uniform_directions(config.n_directions)
-    if direction is not None:
-        if not 0 <= direction < config.n_directions:
-            raise ConfigError(
-                f"--direction {direction} out of range 0..{config.n_directions - 1}"
-            )
-        indices = [direction]
-    else:
-        indices = list(range(config.n_directions))
+    if direction is not None and not 0 <= direction < config.n_directions:
+        raise ConfigError(f"--direction {direction} out of range 0..{config.n_directions - 1}")
+    indices = range(config.n_directions) if direction is None else [direction]
 
     all_ok = True
     json_rows = []
     for k in indices:
         report = materials.classify_regime(config.scene, frames[k], config.delta)
         if as_json:
-            json_rows.append(
-                {
-                    "direction_index": k,
-                    "theta": list(frames[k].theta),
-                    "report": report.to_json_dict(),
-                }
-            )
+            theta = list(frames[k].theta)
+            json_rows.append({"direction_index": k, "theta": theta, "report": report.to_json_dict()})
         else:
             print(f"--- direction {k} ---")
             print(report.to_text())
@@ -379,15 +369,7 @@ def _write_support_csv(path: str, result: enclosure.SweepResult) -> None:
 
     _write_csv(
         path,
-        [
-            "direction_index",
-            "theta_x",
-            "theta_y",
-            "h_hat",
-            "h_exact",
-            "fit_residual",
-            "regime_flags",
-        ],
+        "direction_index,theta_x,theta_y,h_hat,h_exact,fit_residual,regime_flags".split(","),
         (row(k, d) for k, d in enumerate(result.directions)),
     )
 
@@ -406,11 +388,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None) -> int:
     )
 
     target_dir = _output_dir(config, out_dir)
-    paths = {
-        "indicator": os.path.join(target_dir, "indicator.csv"),
-        "support": os.path.join(target_dir, "support.csv"),
-        "hull": os.path.join(target_dir, "hull.csv"),
-    }
+    paths = {n: os.path.join(target_dir, f"{n}.csv") for n in ("indicator", "support", "hull")}
     _write_indicator_csv(paths["indicator"], result)
     _write_support_csv(paths["support"], result)
     _write_hull_csv(paths["hull"], result.hull)
@@ -436,7 +414,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str | None = None) -> int:
     max_err = result.max_support_error()
     if max_err is not None:
         print(f"max |h_hat - h_exact| = {max_err:.5f}")
-    print(f"wrote {paths['indicator']}, {paths['support']}, {paths['hull']}")
+    print(f"wrote {', '.join(paths.values())}")
     if result.hull_error is not None:
         print(f"hull not recovered: {result.hull_error}")
         return EXIT_NUMERICAL
@@ -473,40 +451,40 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# subcommand -> (function, its options as (flag, argparse keywords)); each
+# option's dest is the name of the function's parameter it sets
+COMMANDS = {
+    "reduce": (cmd_reduce, ()),
+    "check": (
+        cmd_check,
+        (("--direction", {"type": int}), ("--json", {"action": "store_true", "dest": "as_json"})),
+    ),
+    "sweep": (
+        cmd_sweep,
+        (("--out", {"dest": "out_dir", "metavar": "OUT", "help": "output directory"}),),
+    ),
+    "mesh-dump": (
+        cmd_mesh_dump,
+        (("--out", {"dest": "out_dir", "metavar": "OUT", "help": "output directory"}),),
+    ),
+}
+
+
+def main(argv=None) -> int:
     parser = _Parser(
         prog="enclosure-kit",
         description="Enclosure-method reconstruction for complex conductivity scenes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_dir in (
-        ("reduce", False),
-        ("check", False),
-        ("sweep", True),
-        ("mesh-dump", True),
-    ):
+    for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario JSON file")
-        if name == "check":
-            p.add_argument("--direction", type=int, default=None)
-            p.add_argument("--json", action="store_true")
-        if needs_dir:
-            p.add_argument("--out", default=None, help="output directory")
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     try:
-        args = parser.parse_args(argv)
-        config = load_config(args.config)
-        if args.command == "reduce":
-            return cmd_reduce(config)
-        if args.command == "check":
-            return cmd_check(config, direction=args.direction, as_json=args.json)
-        if args.command == "sweep":
-            return cmd_sweep(config, out_dir=args.out)
-        return cmd_mesh_dump(config, out_dir=args.out)
+        args = vars(parser.parse_args(argv))
+        command, _ = COMMANDS[args.pop("command")]
+        return command(load_config(args.pop("config")), **args)
     except EnclosureKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -17,6 +17,8 @@ direction; intersecting the fitted half planes encloses the convex hull.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,17 +321,22 @@ def sweep(
     Directions whose regime report has an empty applicable set are flagged
     "outside proven regime" but still estimated; a direction is flagged
     "no-signal" only when a sample in its fit window underflowed.  A
-    malformed tau grid, one with fewer than MIN_FIT_SAMPLES samples in the
-    upper half of its window, a non-integer direction count or a slab
-    thickness ``delta`` that is not > 0 raises InvalidParameterError, an underresolved grid
+    malformed tau grid, one with fewer than 8 samples or fewer than
+    MIN_FIT_SAMPLES in the upper half of its window, a direction count that
+    is not an integer of at least 8 or a slab thickness ``delta`` that is not
+    a real number > 0 raises InvalidParameterError, an underresolved grid
     ProbeResolutionError, and vertices times taus, an upper bound on the
     solve block, over MAX_SOLVE_BLOCK ResourceLimitError, all before any
     factorization.
     """
+    try:
+        n_directions = operator.index(n_directions)
+    except TypeError:
+        raise InvalidParameterError(f"direction count {n_directions!r} is not an integer") from None
     if n_directions < 8:
         raise InvalidParameterError("sweep needs at least 8 directions")
-    if delta is not None and not delta > 0.0:
-        raise InvalidParameterError("slab thickness delta must be > 0")
+    if delta is not None and not (isinstance(delta, numbers.Real) and delta > 0.0):
+        raise InvalidParameterError(f"slab thickness delta must be a real number > 0, got {delta!r}")
     taus = _check_taus(mesh, taus)
     if len(taus) < 8:
         raise InvalidParameterError("sweep needs at least 8 tau samples")

@@ -19,6 +19,7 @@ operation is a pure function, so concurrent use is safe.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -251,8 +252,8 @@ def check_jump(
     uniformly over material in the slab; (NEGATIVE, C) for -a; otherwise
     (NONE, None).  C is the exact infimum over the slab regions.
     """
-    if not delta > 0.0:
-        raise InvalidParameterError("slab thickness delta must be > 0")
+    if not (isinstance(delta, numbers.Real) and delta > 0.0):
+        raise InvalidParameterError(f"slab thickness delta must be a real number > 0, got {delta!r}")
     h = scene_support(scene, frame.theta)
     # >=, not >: the inclusion attaining h stays in when h - delta rounds to h
     idx = [

@@ -237,8 +237,7 @@ class CondensedSystem:
         n_e = len(exterior)
         m = k[order][:, order].tocsc()
         del k, k_e
-        symmetric = {"SymmetricMode": True}
-        lu = _factorize("exterior", m, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=symmetric)
+        lu = _factorize("exterior", m, permc_spec="NATURAL", diag_pivot_thresh=0.0)
         tail = np.arange(n_e, len(order))
         if not (np.array_equal(lu.perm_r[tail], tail) and np.array_equal(lu.perm_c[tail], tail)):
             raise SolveError("the exterior factorization moved the halo off the end")

@@ -338,6 +338,15 @@ class TestReduceCommand:
         out = capsys.readouterr().out
         assert "a = [[0, 0], [0, 0]]" in out
 
+    def test_no_inclusions(self, tmp_path, capsys):
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["material"]["inclusions"] = []
+        path = write_config(tmp_path, raw)
+        assert cli.main(["reduce", "--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "no inclusions: reduced scene is the identity background" in lines
+        assert json.loads(lines[-1]) == {"inclusions": [], "P": 0.5, "Q": 0.5}
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         raw = copy.deepcopy(CHEAP_SWEEP)
         raw["material"]["eps0"] = -1.0

@@ -495,6 +495,16 @@ class TestIndicator:
                 signs=np.zeros(2, dtype=int),
             )
 
+    def test_curve_refuses_unflagged_non_finite_log(self):
+        # an infinite log sample is allowed only where the sign marks underflow
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            IndicatorCurve(
+                t=0.0,
+                taus=np.array([1.0, 2.0]),
+                log_abs=np.array([0.0, np.inf]),
+                signs=np.ones(2, dtype=int),
+            )
+
 
 class TestEstimateSupport:
     def synthetic_curve(self, taus, values):
@@ -649,7 +659,7 @@ class TestSweep:
             raise AssertionError("factorized for a bad direction count")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
-        for n_directions in (4, 8.5, np.float64(9.0)):
+        for n_directions in (4, 8.5, np.float64(9.0), "9", None):
             with pytest.raises(InvalidParameterError):
                 sweep(centered_scene(), coarse_mesh, n_directions, COARSE_TAUS)
 
@@ -664,8 +674,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "taus",
-        [np.r_[COARSE_TAUS[:-1], np.nan], COARSE_TAUS[::-1]],
-        ids=["nan", "decreasing"],
+        [np.r_[COARSE_TAUS[:-1], np.nan], COARSE_TAUS[::-1], COARSE_TAUS[:7]],
+        ids=["nan", "decreasing", "seven-samples"],
     )
     def test_malformed_tau_grid_raises_before_engine(self, coarse_mesh, monkeypatch, taus):
         def no_engine(*args, **kwargs):
@@ -686,7 +696,7 @@ class TestSweep:
         with pytest.raises(InvalidParameterError, match="upper half"):
             sweep(centered_scene(), coarse_mesh, 8, taus)
 
-    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, "0.1"])
     def test_bad_delta_raises_before_factorization(self, coarse_mesh, monkeypatch, delta):
         def no_factorization(*args, **kwargs):
             raise AssertionError("factorized for a bad slab thickness")

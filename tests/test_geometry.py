@@ -189,6 +189,12 @@ class TestHullFromSupport:
         with pytest.raises(DegenerateHullError):
             hull_from_support([(f, 1.0) for f in frames])
 
+    def test_segment_intersection(self):
+        # x <= 0 and -x <= 0 leave the segment x = 0, |y| <= 1
+        frames = [DirectionFrame(v) for v in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+        with pytest.raises(DegenerateHullError, match="segment"):
+            hull_from_support([(f, h) for f, h in zip(frames, (0.0, 1.0, 0.0, 1.0))])
+
     def test_too_few_directions(self):
         frames = [DirectionFrame(v) for v in ((1, 0), (0, 1))]
         with pytest.raises(InvalidParameterError):

@@ -22,7 +22,7 @@ import pytest
 from enclosure_kit import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-PRESETS = sorted(p.name for p in GOLDEN.iterdir())
+PRESETS = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 REL_TOL = 1e-12
 
 

@@ -156,6 +156,10 @@ class TestSceneValidation:
         with pytest.raises(InvalidParameterError):
             MaterialScene(sigma0=-0.1, eps0=1.0, omega=1.0)
 
+    def test_rejects_negative_omega(self):
+        with pytest.raises(InvalidParameterError, match="omega"):
+            MaterialScene(sigma0=1.0, eps0=1.0, omega=-1.0)
+
     def test_rejects_doubly_degenerate(self):
         with pytest.raises(InvalidParameterError):
             MaterialScene(sigma0=0.0, eps0=1.0, omega=0.0)
@@ -263,6 +267,13 @@ class TestCheckJump:
         # a slab thick enough to reach both sees indefinite material
         jump_wide, _ = check_jump(scene, E1, 0.9)
         assert jump_wide is Jump.NONE
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, "0.1"])
+    def test_bad_delta_rejected(self, delta):
+        scene = scene_with(SymMat2.identity(), SymMat2.zero())
+        for classify in (check_jump, classify_regime):
+            with pytest.raises(InvalidParameterError, match="delta"):
+                classify(scene, E1, delta)
 
     def test_tiny_delta_keeps_leading_inclusion(self):
         # below half an ulp of h, h - delta rounds to h; the slab keeps the

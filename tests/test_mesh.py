@@ -260,6 +260,8 @@ def test_mesh_dump(tmp_path):
         (lambda: generate_mesh(UNIT_SQUARE, 1e-310), ResourceLimitError),
         (lambda: generate_mesh(Rectangle(0.0, 1e308, 0.0, 1.0), 0.1), ResourceLimitError),
         (lambda: generate_mesh(UNIT_SQUARE, 5e-324), ResourceLimitError),
+        # 2000 x 2000 cells, refused by the rectangle's own triangle budget
+        (lambda: generate_mesh(UNIT_SQUARE, 1e-3), ResourceLimitError),
     ],
     ids=[
         "disk-radius-inf",
@@ -269,6 +271,7 @@ def test_mesh_dump(tmp_path):
         "square-target-h-1e-310",
         "rectangle-width-1e308",
         "square-target-h-5e-324",
+        "square-target-h-1e-3",
     ],
 )
 def test_rejects_infinite_size_and_overflowing_count(build, error):

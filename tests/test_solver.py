@@ -339,12 +339,7 @@ class TestDissectionOrder:
         # factorizes the exterior, against SuperLU's default column order
         points, graph = interior_graph(domain, target_h, hole)
         order = dissection_order(points, graph)
-        lu = spla.splu(
-            graph[order][:, order].tocsc(),
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = spla.splu(graph[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
         colamd = spla.splu(graph.tocsc(), permc_spec="COLAMD")
         assert lu.L.nnz + lu.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
