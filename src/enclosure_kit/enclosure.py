@@ -60,8 +60,10 @@ class Probe:
     shift: float
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise InvalidParameterError("probe tau must be > 0")
+        if not (isinstance(self.tau, numbers.Real) and self.tau > 0.0):
+            raise InvalidParameterError(f"probe tau must be a real number > 0, got {self.tau!r}")
+        if not isinstance(self.shift, numbers.Real):
+            raise InvalidParameterError(f"probe shift must be a real number, got {self.shift!r}")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Shifted probe values exp(tau*((x.th - s) + i*x.th_perp))."""
@@ -87,6 +89,12 @@ def _require_resolved(mesh: Mesh, tau: float) -> None:
 def _check_taus(mesh: Mesh, taus) -> np.ndarray:
     """A tau grid as a float array: 1-D, non-empty, finite, > 0, strictly
     increasing, and resolved on the mesh."""
+    try:
+        real = np.asarray(taus).dtype.kind in "iuf"
+    except ValueError:  # a ragged nesting
+        real = False
+    if not real:
+        raise InvalidParameterError("tau grid must be an array of real numbers")
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or len(taus) == 0:
         raise InvalidParameterError("tau grid must be a non-empty 1-D array")

@@ -14,6 +14,7 @@ support-function estimates as an intersection of half planes
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -32,9 +33,13 @@ Vec2 = tuple[float, float]
 
 
 def _as_point(x) -> np.ndarray:
+    try:
+        real = len(x) == 2 and all(isinstance(c, numbers.Real) for c in x)
+    except TypeError:  # no length: a scalar
+        real = False
+    if not real:
+        raise InvalidParameterError(f"expected a 2-vector of real numbers, got {x!r}")
     p = np.asarray(x, dtype=float)
-    if p.shape != (2,):
-        raise InvalidParameterError(f"expected a 2-vector, got shape {p.shape}")
     if not np.all(np.abs(p) <= COORD_LIMIT):
         raise InvalidParameterError(
             f"point {tuple(p)}: coordinates must be finite and at most {COORD_LIMIT:g}"
@@ -94,7 +99,7 @@ class Disk:
 
     def __post_init__(self):
         _as_point(self.center)
-        if not 0.0 < self.radius <= COORD_LIMIT:
+        if not (isinstance(self.radius, numbers.Real) and 0.0 < self.radius <= COORD_LIMIT):
             raise InvalidParameterError(f"disk radius must be > 0 and at most {COORD_LIMIT:g}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "radius", float(self.radius))
@@ -118,7 +123,8 @@ class AxisEllipse:
 
     def __post_init__(self):
         _as_point(self.center)
-        if not (0.0 < self.semi_a <= COORD_LIMIT and 0.0 < self.semi_b <= COORD_LIMIT):
+        semi_axes = (self.semi_a, self.semi_b)
+        if not all(isinstance(s, numbers.Real) and 0.0 < s <= COORD_LIMIT for s in semi_axes):
             raise InvalidParameterError(
                 f"ellipse semi-axes must be > 0 and at most {COORD_LIMIT:g}"
             )

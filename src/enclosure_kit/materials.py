@@ -114,8 +114,9 @@ class MaterialScene:
 
     def __post_init__(self):
         object.__setattr__(self, "inclusions", tuple(self.inclusions))
-        if not all(map(math.isfinite, (self.sigma0, self.eps0, self.omega))):
-            raise InvalidParameterError("sigma0, eps0 and omega must be finite")
+        constants = (self.sigma0, self.eps0, self.omega)
+        if not all(isinstance(c, numbers.Real) and math.isfinite(c) for c in constants):
+            raise InvalidParameterError("sigma0, eps0 and omega must be finite real numbers")
         if not self.eps0 > 0.0:
             raise InvalidParameterError("background permittivity eps0 must be > 0")
         if self.sigma0 < 0.0:
@@ -299,6 +300,8 @@ def frequency_bound(m: float, c_theta: float, big_m: float) -> float:
 
     Returns +inf when M = 0 (no reactive contrast).
     """
+    if not all(isinstance(x, numbers.Real) for x in (m, c_theta, big_m)):
+        raise InvalidParameterError("m, C_theta and M must be real numbers")
     root = _sqrt_mc(m, c_theta)
     if big_m < 0.0:
         raise InvalidParameterError("M must be >= 0")
@@ -313,8 +316,8 @@ def pq_weights(sigma0: float, eps0: float, omega: float) -> tuple[float, float]:
     P = sigma0^2 / (sigma0^2 + omega^2*eps0^2) and Q its complement;
     requires all three inputs strictly positive so that P, Q lie in (0, 1).
     """
-    if not (sigma0 > 0.0 and eps0 > 0.0 and omega > 0.0):
-        raise InvalidParameterError("pq_weights requires sigma0, eps0, omega > 0")
+    if not all(isinstance(x, numbers.Real) and x > 0.0 for x in (sigma0, eps0, omega)):
+        raise InvalidParameterError("pq_weights requires real sigma0, eps0, omega > 0")
     denom = sigma0 * sigma0 + (omega * omega) * (eps0 * eps0)
     if not sys.float_info.min <= denom < math.inf:
         raise InvalidParameterError(

@@ -13,6 +13,7 @@ materials are sampled at triangle centroids.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,12 +113,12 @@ def generate_mesh(domain: Domain, target_h: float) -> Mesh:
     Raises
     ------
     InvalidParameterError
-        If target_h is not in (0, diam/4).
+        If target_h is not a real number in (0, diam/2).
     ResourceLimitError
         If the requested resolution would exceed the element budget.
     """
-    if not target_h > 0.0:
-        raise InvalidParameterError("target_h must be > 0")
+    if not (isinstance(target_h, numbers.Real) and target_h > 0.0):
+        raise InvalidParameterError(f"target_h must be a real number > 0, got {target_h!r}")
     if target_h >= domain.diameter() / 2.0:
         raise InvalidParameterError(
             f"target_h = {target_h:g} too coarse: must be below "

@@ -9,10 +9,12 @@ values are matched exactly and the weak Neumann pairing
 is independent of the discrete extension v of g up to the interior
 residual.  ``CondensedSystem`` solves the interior problem for sources on
 the inclusion nodes only, through a factorization of the inclusion nodes'
-Schur complement; ``DirichletSystem`` factorizes the whole interior and
-serves as the test reference.  Both factorize once (SuperLU,
-deterministic ordering), reuse the factors across right-hand sides and
-check every solve's residual.
+Schur complement; it condenses the background exterior onto them part by
+part (quadtree parts of at most MAX_PART_VERTICES vertices, each factored
+and freed in turn, then one dense step on the interface between parts).
+``DirichletSystem`` factorizes the whole interior and serves as the test
+reference.  Both factorize once (SuperLU, deterministic ordering), reuse
+the factors across right-hand sides and check every solve's residual.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dznrm2
@@ -162,24 +165,33 @@ def _factorize(name: str, matrix: sp.spmatrix, **options):
 # coordinate bits per axis: the interleaved 52-bit key converts exactly
 # to a float64, whose exponent then gives its highest set bit
 MORTON_BITS = 26
+# most vertices in one part of the condensed exterior.  The reference disk
+# keeps one part at h = 0.01 (41k exterior vertices) and splits into 4 at
+# h = 0.005 and 0.0035 (165k and 338k); a smaller count would split the
+# latter into 16, whose dense interface block raises the peak (CHANGES.md)
+MAX_PART_VERTICES = 100_000
 
 
-def dissection_order(points: np.ndarray, graph: sp.spmatrix) -> np.ndarray:
-    """Quadtree nested-dissection order of a graph's vertices.
+def _quadtree(
+    points: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Morton key, quadtree level and nested-dissection order of a graph's
+    vertices.
 
-    ``points`` holds one coordinate pair per vertex, and every stored entry
-    of ``graph`` is an edge.  The coordinates, quantized over their
+    ``points`` holds one coordinate pair per vertex, and each pair
+    (rows[i], cols[i]) is an edge.  The coordinates, quantized over their
     bounding square, interleave into a Morton key, so every quadtree cell
     is a range of keys and the highest bit in which two keys differ is the
     split that halves the smallest cell holding both.  For every edge the
     endpoint below that split separates the cell's halves, and each vertex
-    keeps the largest cell it separates.  Sorted by the last key of that
-    cell, then by the cell's size, each separator follows every other
-    vertex of its cell and the separators of the cells within it.  Returns
-    a permutation of range(len(points)).
+    keeps the largest cell it separates: its level is that cell's split (0
+    if it separates none).  Sorted by the last key of that cell, then by
+    the cell's size, each separator follows every other vertex of its cell
+    and the separators of the cells within it.
     """
     if not len(points):
-        return np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
     lo = points.min(axis=0)
     span = np.max(points.max(axis=0) - lo)
     scale = (2**MORTON_BITS - 1) / span if span > 0.0 else 0.0
@@ -188,16 +200,133 @@ def dissection_order(points: np.ndarray, graph: sp.spmatrix) -> np.ndarray:
     for bit in range(MORTON_BITS):
         key |= ((q[:, 0] >> bit) & 1) << (2 * bit + 1)
         key |= ((q[:, 1] >> bit) & 1) << (2 * bit)
-    graph = graph.tocoo()
-    u, v = key[graph.row], key[graph.col]
-    lower = np.where(u < v, graph.row, graph.col)
+    u, v = key[rows], key[cols]
+    lower = np.where(u < v, rows, cols)
     # the highest differing bit, counted from 1, is the log2 key count of
     # the smallest cell holding both endpoints
     split = np.frexp((u ^ v).astype(float))[1].astype(np.int64)
     level = np.zeros(len(points), dtype=np.int64)
     # one dtype for both: ufunc.at takes a slow path on mixed dtypes
     np.maximum.at(level, lower, split)
-    return np.lexsort((level, key | ((1 << level) - 1)))
+    return key, level, np.lexsort((level, key | ((1 << level) - 1)))
+
+
+def dissection_order(points: np.ndarray, graph: sp.spmatrix) -> np.ndarray:
+    """Quadtree nested-dissection order of a graph's vertices.
+
+    ``points`` holds one coordinate pair per vertex, and every stored entry
+    of ``graph`` is an edge; ``_quadtree`` describes the order.  Returns a
+    permutation of range(len(points)).
+    """
+    graph = graph.tocoo()
+    return _quadtree(points, graph.row, graph.col)[2]
+
+
+def _parts(key: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Part label of each vertex of a quadtree, -1 on the interface.
+
+    The vertices split at the top ``depth`` binary splits of the quadtree,
+    ``depth`` the smallest even number that leaves no part over
+    MAX_PART_VERTICES.  The vertices whose level exceeds 2*MORTON_BITS -
+    depth separate the cells of that depth and form the interface; the
+    rest of each cell is a part, and parts are labelled in key order.  No
+    edge of the quadtree's graph joins two parts.
+    """
+    top = 2 * MORTON_BITS
+    depth = 0
+    part = np.zeros(len(key), dtype=np.int64)
+    while depth < top and np.max(np.bincount(part[part >= 0]), initial=0) > MAX_PART_VERTICES:
+        depth += 2
+        inner = level <= top - depth
+        part = np.full(len(key), -1)
+        part[inner] = np.unique(key[inner] >> (top - depth), return_inverse=True)[1]
+    return part
+
+
+def _incidence(labels: np.ndarray, n: int) -> sp.csr_matrix:
+    """Pattern with an entry (i, labels[i, j]) for every label >= 0, one
+    row per row of ``labels`` and ``n`` columns."""
+    rows, cols = np.nonzero(labels >= 0)
+    return sp.csr_matrix(
+        (np.ones(len(rows)), (rows, labels[rows, cols])), shape=(len(labels), n)
+    )
+
+
+def _part_spans(
+    mesh: Mesh, exterior: np.ndarray, part: np.ndarray, order: np.ndarray, shared: np.ndarray
+):
+    """Per part C of the exterior, in label order: the triangles that touch
+    C or its halo B_C, in mesh order; C's vertices in dissection order; and
+    B_C, the vertices of ``shared`` on triangles that touch C, as positions
+    in ``shared``.
+
+    ``part`` labels the ``exterior`` vertices (-1 off every part) and
+    ``order`` is their dissection order.  With one part and no interface
+    the triangles are all of the mesh's, which gives the same rows on C and
+    B_C.
+    """
+    n_parts = int(np.max(part, initial=-1)) + 1
+    grouped = order[np.argsort(part[order], kind="stable")]
+    ends = np.cumsum(np.bincount(part + 1, minlength=n_parts + 1))
+    inner = [exterior[grouped[ends[c] : ends[c + 1]]] for c in range(n_parts)]
+    if n_parts == 1 and ends[0] == 0:
+        yield mesh.triangles, inner[0], np.arange(len(shared))
+        return
+    part_of = np.full(mesh.num_vertices, -1)
+    part_of[exterior] = part
+    slot = np.full(mesh.num_vertices, -1)
+    slot[shared] = np.arange(len(shared))
+    on_part = _incidence(part_of[mesh.triangles], n_parts)
+    on_shared = _incidence(slot[mesh.triangles], len(shared))
+    del part_of, slot
+    halos = (on_shared.T @ on_part).tocsc()
+    near = (on_part + on_shared @ halos).tocsc()
+    del on_part, on_shared
+    halos.sort_indices()
+    near.sort_indices()
+    for c in range(n_parts):
+        yield (
+            mesh.triangles[near.indices[near.indptr[c] : near.indptr[c + 1]]],
+            inner[c],
+            halos.indices[halos.indptr[c] : halos.indptr[c + 1]],
+        )
+
+
+def _background(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matrix:
+    """Stiffness of the real identity background over ``triangles``."""
+    return assemble(vertices, triangles, np.broadcast_to(np.eye(2), (len(triangles), 2, 2)))
+
+
+def _halo_update(
+    vertices: np.ndarray, triangles: np.ndarray, order: np.ndarray, n_inner: int
+) -> np.ndarray:
+    """-K_BC K_CC^-1 K_CB, dense, for the background stiffness K over
+    ``triangles`` on the vertices ``order``: C is the first ``n_inner`` of
+    them and B, the halo, the rest.
+
+    ``triangles`` must hold every triangle that touches C or B, so that K
+    on C and B is the whole-mesh block.  One factor of it, in ``order``
+    (SuperLU, natural column order, diagonal pivots), has the trailing
+    block L_BB U_BB = K_BB - K_BC K_CC^-1 K_CB.  Raises SolveError if the
+    factor moves B off the end or misses RESIDUAL_TOL on one column; the
+    factor and its copies are freed on return.
+    """
+    k = _background(vertices, triangles)
+    m = k[order][:, order].tocsc()
+    del k
+    lu = _factorize("exterior", m, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    tail = np.arange(n_inner, len(order))
+    if not (np.array_equal(lu.perm_r[tail], tail) and np.array_equal(lu.perm_c[tail], tail)):
+        raise SolveError("the exterior factorization moved the halo off the end")
+    ones = np.ones(len(order))
+    rel = float(_relative_residual(m, lu.solve(ones), ones))
+    if not rel <= RESIDUAL_TOL:
+        raise SolveError(
+            f"exterior factor residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}", residual=rel
+        )
+    # reading lu.L or lu.U copies both whole factors, cached until lu goes
+    n = n_inner
+    return lu.L[n:, n:].toarray() @ lu.U[n:, n:].toarray() - m[n:, n:].toarray()
 
 
 class CondensedSystem:
@@ -207,49 +336,86 @@ class CondensedSystem:
     ``nodes`` lists S, sorted, and ``block`` is K_SS, the stiffness block
     on S.  Off S the coefficient is the real identity background, so the
     exterior unknowns E (interior vertices not in S) couple to S only
-    through the halo H, the nodes with an entry in an E column, and only
+    through the halo H, the nodes of triangles with a vertex in E, and only
     through real entries.  Eliminating E leaves
 
         (K_SS - K_SE K_EE^-1 K_ES) w_S = r_S,
 
     whose update is real, lives on H x H and depends on the mesh and S
-    alone.  It is read off one factor of the real SPD background stiffness
-    on E and H, assembled here in float64 from the real part of
-    ``identity_field``, with E in the quadtree nested-dissection order of
-    ``dissection_order`` (it fills less than SuperLU's default COLAMD) and
-    H last: the trailing block L_HH U_HH of that factor is
-    K0_HH - K_HE K_EE^-1 K_EH.
-    The exterior factor is checked once and freed; the complex |S| matrix
-    ``schur`` is factorized once, in minimum-degree order on its symmetric
-    pattern (it fills less than SuperLU's default COLAMD), and serves
-    every solve.
+    alone.  It is built from the float64 background stiffness K0 part by
+    part, so that no whole-mesh K0 and no whole exterior factor is held:
+
+    1. E is ordered by the quadtree nested dissection of ``_quadtree`` (it
+       fills less than SuperLU's default COLAMD) on the triangles' edges.
+       ``_parts`` splits it at the top levels of that quadtree into parts
+       of at most MAX_PART_VERTICES vertices and the interface G of
+       separators between them; a smaller E is one part and G is empty.
+    2. Each part C, with its halo B_C (the vertices of G and H on
+       triangles that touch C), is assembled from the triangles that touch
+       C or B_C and factorized alone in dissection order with B_C last
+       (``_halo_update``).  Its -K_BC K_CC^-1 K_CB is added into a dense
+       symmetric matrix T on G and H, and the factor is checked and freed
+       before the next part starts.
+    3. T also holds K0's rows on G, assembled once from the triangles that
+       touch G; its H x H block starts at zero.  One dense Cholesky factor
+       of T_GG leaves the update T_HH - T_GH^T T_GG^-1 T_GH.
+
+    With one part, every triangle is assembled once and the update is the
+    trailing block of one factor of K0 on E and H, less K0_HH.  The complex
+    |S| matrix ``schur`` is factorized once, in minimum-degree order on its
+    symmetric pattern (it fills less than SuperLU's default COLAMD), and
+    serves every solve.
     """
 
     def __init__(self, mesh: Mesh, nodes: np.ndarray, block: sp.spmatrix):
+        triangles = mesh.triangles
         interior = mesh.interior_vertices()
         exterior = interior[~np.isin(interior, nodes)]
-        k = assemble(mesh.vertices, mesh.triangles, identity_field(mesh).real)
-        k_e = k[exterior]
-        halo = np.flatnonzero(k_e[:, nodes].getnnz(axis=0))
-        order = np.concatenate(
-            [exterior[dissection_order(mesh.vertices[exterior], k_e[:, exterior])], nodes[halo]]
-        )
-        n_e = len(exterior)
-        m = k[order][:, order].tocsc()
-        del k, k_e
-        lu = _factorize("exterior", m, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        tail = np.arange(n_e, len(order))
-        if not (np.array_equal(lu.perm_r[tail], tail) and np.array_equal(lu.perm_c[tail], tail)):
-            raise SolveError("the exterior factorization moved the halo off the end")
-        ones = np.ones(len(order))
-        rel = float(_relative_residual(m, lu.solve(ones), ones))
-        if not rel <= RESIDUAL_TOL:
-            raise SolveError(
-                f"exterior factor residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}", residual=rel
+        local = np.full(mesh.num_vertices, -1)
+        local[exterior] = np.arange(len(exterior))
+        corners = local[triangles]
+        # any two vertices of a triangle share an edge
+        near_e = np.zeros(mesh.num_vertices, dtype=bool)
+        near_e[triangles[np.any(corners >= 0, axis=1)]] = True
+        halo = np.flatnonzero(near_e[nodes])
+        edges = np.concatenate([corners[:, [0, 1]], corners[:, [1, 2]], corners[:, [2, 0]]])
+        edges = edges[np.all(edges >= 0, axis=1)]
+        key, level, order = _quadtree(mesh.vertices[exterior], edges[:, 0], edges[:, 1])
+        del corners, edges
+        part = _parts(key, level)
+        interface = exterior[part < 0]
+        n_g = len(interface)
+        # T's vertices, the interface G and then the halo H, and the blocks
+        # of T on and above its diagonal; T_GG is in column order, so that
+        # its Cholesky factor can overwrite it
+        shared = np.concatenate([interface, nodes[halo]])
+        t_gg = np.zeros((n_g, n_g), order="F")
+        t_gh = np.zeros((n_g, len(halo)))
+        t_hh = np.zeros((len(halo), len(halo)))
+        if n_g:
+            on_g = np.zeros(mesh.num_vertices, dtype=bool)
+            on_g[interface] = True
+            k = _background(mesh.vertices, triangles[np.any(on_g[triangles], axis=1)])
+            rows_g = k[interface][:, shared].toarray()
+            del k
+            t_gg[:] = rows_g[:, :n_g]
+            t_gh[:] = rows_g[:, n_g:]
+        for near, inner, border in _part_spans(mesh, exterior, part, order, shared):
+            update = _halo_update(
+                mesh.vertices, near, np.concatenate([inner, shared[border]]), len(inner)
             )
-        # reading lu.L or lu.U copies both whole factors, cached until lu goes
-        update = lu.L[n_e:, n_e:].toarray() @ lu.U[n_e:, n_e:].toarray() - m[n_e:, n_e:].toarray()
-        del lu, m
+            # border is sorted, so its interface vertices come first
+            on, off = border[border < n_g], border[border >= n_g] - n_g
+            t_gg[np.ix_(on, on)] += update[: len(on), : len(on)]
+            t_gh[np.ix_(on, off)] += update[: len(on), len(on) :]
+            t_hh[np.ix_(off, off)] += update[len(on) :, len(on) :]
+        update = t_hh
+        if n_g:
+            try:
+                factor = sla.cho_factor(t_gg, overwrite_a=True)
+            except np.linalg.LinAlgError as exc:
+                raise SolveError(f"interface factorization failed: {exc}") from exc
+            update = t_hh - t_gh.T @ sla.cho_solve(factor, t_gh)
         rows, cols = np.meshgrid(halo, halo, indexing="ij")
         self.schur = (
             block + sp.csr_matrix((update.ravel(), (rows.ravel(), cols.ravel())), shape=block.shape)

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from enclosure_kit import cli, enclosure, solver
@@ -41,6 +43,9 @@ from scene_factory import ellipse_and_polygon_scene
 
 E1 = DirectionFrame((1.0, 0.0))
 COARSE_TAUS = np.linspace(2.0, 8.0, 9)
+# exterior part size at which the coarse disk splits into 4 parts and the
+# two-inclusion rectangle at h = 0.04 into 16
+SMALL_PART = 2000
 
 
 def whole_mesh_contrast(mesh, reduced):
@@ -398,11 +403,13 @@ class TestIndicator:
         assert np.array_equal(engine.pairing_differences(E1, COARSE_TAUS), raw)
 
     def test_exterior_factor_does_not_outlive_setup(self, coarse_mesh, monkeypatch):
-        # its lu.L and lu.U copies are cached on it and go only with it
+        # its lu.L and lu.U copies are cached on it and go only with it;
+        # split into parts, each part's factor is gone before the next starts
         splu = scipy.sparse.linalg.splu
         exterior = []
 
         def weakly_held(matrix, *args, **kwargs):
+            assert all(factor() is None for factor in exterior)
             lu = splu(matrix, *args, **kwargs)
             if np.iscomplexobj(matrix.data):
                 return lu
@@ -411,11 +418,14 @@ class TestIndicator:
             return proxy
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", weakly_held)
-        engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
-        gc.collect()
-        [factor] = exterior
-        assert factor() is None
-        assert engine._condensed is not None
+        for part_size, n_parts in ((solver.MAX_PART_VERTICES, 1), (SMALL_PART, 4)):
+            monkeypatch.setattr(solver, "MAX_PART_VERTICES", part_size)
+            exterior.clear()
+            engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
+            gc.collect()
+            assert len(exterior) == n_parts
+            assert all(factor() is None for factor in exterior)
+            assert engine._condensed is not None
 
     @pytest.mark.parametrize("name", ["exterior", "inclusion"])
     def test_failed_factorization_names_the_factor(self, coarse_mesh, monkeypatch, name):
@@ -504,6 +514,156 @@ class TestIndicator:
                 log_abs=np.array([0.0, np.inf]),
                 signs=np.ones(2, dtype=int),
             )
+
+
+def record_real_factors(monkeypatch):
+    """Make splu record each real matrix it factorizes with the fill of its
+    factor; returns the list of (matrix, nnz(L + U))."""
+    splu = scipy.sparse.linalg.splu
+    factored = []
+
+    def recording(matrix, *args, **kwargs):
+        lu = splu(matrix, *args, **kwargs)
+        if not np.iscomplexobj(matrix.data):
+            factored.append((matrix.copy(), lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return factored
+
+
+PARTITIONED_CASES = [
+    pytest.param((UnitDisk(), 0.04, centered_scene), id="coarse-disk"),
+    pytest.param(
+        (Rectangle(-1.5, 1.5, -1.0, 1.0), 0.04, ellipse_and_polygon_scene), id="rectangle"
+    ),
+]
+
+
+class TestPartitionedExterior:
+    """The exterior condensed part by part, with the part size lowered to
+    SMALL_PART so that small meshes split, each with an interface."""
+
+    @pytest.fixture(params=PARTITIONED_CASES)
+    def case(self, request):
+        domain, target_h, scene = request.param
+        return generate_mesh(domain, target_h), scene()
+
+    def test_partition_has_parts_and_an_interface(self, case, monkeypatch):
+        mesh, scene = case
+        parts = solver._parts
+        labels = []
+
+        def recording(key, level):
+            labels.append(parts(key, level))
+            return labels[-1]
+
+        monkeypatch.setattr(solver, "_parts", recording)
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
+        factored = record_real_factors(monkeypatch)
+        IndicatorEngine(reduce_scene(scene), mesh)
+        [part] = labels
+        n_parts = part.max() + 1
+        assert n_parts >= 4 and np.any(part < 0)
+        assert np.max(np.bincount(part[part >= 0])) <= SMALL_PART
+        assert len(factored) == n_parts
+
+    def test_update_matches_one_part(self, case, monkeypatch):
+        # the update is the |S| matrix less its block; a large diagonal
+        # block keeps that matrix nonsingular
+        mesh, scene = case
+        nodes = IndicatorEngine(reduce_scene(scene), mesh).nodes
+        block = 1e3 * scipy.sparse.identity(len(nodes), format="csc")
+
+        def update():
+            return (solver.CondensedSystem(mesh, nodes, block).schur - block).toarray()
+
+        whole = update()
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
+        assert np.max(np.abs(update() - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+    def test_matches_all_vertex_formula(self, case, monkeypatch):
+        mesh, scene = case
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
+        raw, reference = engine_and_all_vertex_reference(mesh, scene, COARSE_TAUS)
+        assert np.all(np.abs(reference) > 0.0)
+        assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
+
+    def test_part_fill_at_most_colamd(self, case, monkeypatch):
+        # Each part is factorized with its halo last, and unconstrained
+        # COLAMD would interleave the halo (on the coarse disk it fills
+        # 24k against 32k entries).  So the quadtree order of the part's
+        # own vertices is held against COLAMD's order of them, both with
+        # the halo last.
+        mesh, scene = case
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
+        halo_update = solver._halo_update
+        inner = []
+
+        def recording(vertices, triangles, order, n_inner):
+            inner.append(n_inner)
+            return halo_update(vertices, triangles, order, n_inner)
+
+        monkeypatch.setattr(solver, "_halo_update", recording)
+        factored = record_real_factors(monkeypatch)
+        IndicatorEngine(reduce_scene(scene), mesh)
+        assert len(factored) == len(inner) >= 4
+        splu = scipy.sparse.linalg.splu
+        for (matrix, fill), n in zip(factored, inner):
+            colamd = splu(matrix[:n, :n].tocsc(), permc_spec="COLAMD").perm_c
+            order = np.concatenate([colamd, np.arange(n, matrix.shape[0])])
+            lu = splu(
+                matrix[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
+            )
+            assert fill <= lu.L.nnz + lu.U.nnz
+
+    def test_part_moving_its_halo_raises(self, case, monkeypatch):
+        # only the second part's factor has its column permutation rolled
+        mesh, scene = case
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
+        splu = scipy.sparse.linalg.splu
+        parts = []
+
+        def rolling_second(matrix, *args, **kwargs):
+            lu = splu(matrix, *args, **kwargs)
+            if np.iscomplexobj(matrix.data):
+                return lu
+            parts.append(matrix.shape)
+            return FactorProxy(lu, 1.0, len(parts) == 2)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", rolling_second)
+        with pytest.raises(SolveError, match="halo"):
+            IndicatorEngine(reduce_scene(scene), mesh)
+        assert len(parts) == 2
+
+    def test_failed_interface_factorization_names_it(self, case, monkeypatch):
+        mesh, scene = case
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+        with pytest.raises(SolveError, match="^interface factorization failed: not positive"):
+            IndicatorEngine(reduce_scene(scene), mesh)
+
+    def test_no_real_assembly_covers_the_mesh(self, case, monkeypatch):
+        mesh, scene = case
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
+        assemble = solver.assemble
+        real = []
+
+        def recording(vertices, triangles, coeff):
+            if not np.iscomplexobj(coeff):
+                real.append(len(triangles))
+            return assemble(vertices, triangles, coeff)
+
+        monkeypatch.setattr(solver, "assemble", recording)
+        factored = record_real_factors(monkeypatch)
+        IndicatorEngine(reduce_scene(scene), mesh)
+        # one per part, and one for the interface rows
+        assert len(real) == len(factored) + 1
+        assert max(real) < mesh.num_triangles
 
 
 class TestEstimateSupport:

@@ -13,11 +13,19 @@ code can work out should be a property.
 import ast
 from pathlib import Path
 
+import pytest
+
+from enclosure_kit import enclosure, materials, meshing
+from enclosure_kit.errors import InvalidParameterError
+from enclosure_kit.geometry import DirectionFrame, Disk, UnitDisk
+
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "enclosure_kit"
 
 ALLOWED = {
     "cgo_trace": "test reference: the probe trace of the two-solve check",
+    "identity_field": "test reference: background field of the whole-interior solves",
+    "dissection_order": "test reference: the fill tests of the exterior's quadtree order",
     "scene_field": "test reference: original-variable field of criterion 5",
     "reduced_field": "test reference: whole-mesh reduced field of the whole-interior solves",
     "dtn_pairing": "test reference: weak Neumann pairing of criteria 4 and 5",
@@ -112,3 +120,40 @@ def test_every_raise_is_typed():
                 untyped.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert raises > 0
     assert untyped == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: meshing.generate_mesh(UnitDisk(), "0.1"),
+        lambda: enclosure.Probe(DirectionFrame((1.0, 0.0)), "4", 0.0),
+        lambda: materials.pq_weights("1", 1.0, 1.0),
+        lambda: materials.frequency_bound("1", 1.0, 1.0),
+        lambda: Disk((0, 0), "0.2"),
+        lambda: materials.MaterialScene("1", 1.0, 1.0),
+        lambda: DirectionFrame("x"),
+        lambda: DirectionFrame((1.0, "a")),
+        lambda: enclosure.sweep(
+            materials.MaterialScene(1.0, 1.0, 1.0),
+            meshing.generate_mesh(UnitDisk(), 0.2),
+            8,
+            ["a"] * 9,
+        ),
+    ],
+    ids=[
+        "generate_mesh-target_h",
+        "Probe-tau",
+        "pq_weights",
+        "frequency_bound",
+        "Disk-radius",
+        "MaterialScene",
+        "DirectionFrame-scalar",
+        "DirectionFrame-entry",
+        "sweep-taus",
+    ],
+)
+def test_mistyped_argument_is_an_invalid_parameter(call):
+    """A string where the library expects a number ends as the typed
+    error, not as a TypeError or ValueError from a comparison or a cast."""
+    with pytest.raises(InvalidParameterError):
+        call()
