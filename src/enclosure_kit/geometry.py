@@ -74,6 +74,8 @@ class DirectionFrame:
 
     @classmethod
     def from_angle(cls, angle: float) -> "DirectionFrame":
+        if not isinstance(angle, numbers.Real):
+            raise InvalidParameterError(f"direction angle must be a real number, got {angle!r}")
         return cls((math.cos(angle), math.sin(angle)))
 
 
@@ -232,8 +234,9 @@ class Rectangle:
     y_max: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
-            raise InvalidParameterError("rectangle bounds must be finite")
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in bounds):
+            raise InvalidParameterError("rectangle bounds must be finite real numbers")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise InvalidParameterError("rectangle must have nonempty interior")
 

@@ -23,6 +23,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import get_args
 
 import numpy as np
 
@@ -44,6 +45,13 @@ class SymMat2:
     a12: float
     a22: float
 
+    def __post_init__(self):
+        if not all(isinstance(x, numbers.Real) for x in (self.a11, self.a12, self.a22)):
+            raise InvalidParameterError(
+                f"symmetric matrix entries must be real numbers, got "
+                f"({self.a11!r}, {self.a12!r}, {self.a22!r})"
+            )
+
     @classmethod
     def identity(cls) -> "SymMat2":
         return cls(1.0, 0.0, 1.0)
@@ -54,6 +62,8 @@ class SymMat2:
 
     @classmethod
     def iso(cls, c: float) -> "SymMat2":
+        if not isinstance(c, numbers.Real):
+            raise InvalidParameterError(f"isotropic value must be a real number, got {c!r}")
         return cls(float(c), 0.0, float(c))
 
     def as_array(self) -> np.ndarray:
@@ -91,6 +101,12 @@ class Inclusion:
     shape: Shape
     alpha: SymMat2
     beta: SymMat2
+
+    def __post_init__(self):
+        if not isinstance(self.shape, get_args(Shape)):
+            raise InvalidParameterError(f"inclusion shape must be a shape, got {self.shape!r}")
+        if not (isinstance(self.alpha, SymMat2) and isinstance(self.beta, SymMat2)):
+            raise InvalidParameterError("inclusion alpha and beta must be SymMat2 values")
 
 
 @dataclass(frozen=True)

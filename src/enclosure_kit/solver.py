@@ -11,7 +11,8 @@ residual.  ``CondensedSystem`` solves the interior problem for sources on
 the inclusion nodes only, through a factorization of the inclusion nodes'
 Schur complement; it condenses the background exterior onto them part by
 part (quadtree parts of at most MAX_PART_VERTICES vertices, each factored
-and freed in turn, then one dense step on the interface between parts).
+and freed in turn), and merges the parts' updates pairwise up the quadtree
+in small dense fronts, one per cell separator.
 ``DirichletSystem`` factorizes the whole interior and serves as the test
 reference.  Both factorize once (SuperLU, deterministic ordering), reuse
 the factors across right-hand sides and check every solve's residual.
@@ -19,10 +20,12 @@ the factors across right-hand sides and check every solve's residual.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.blas as blas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dznrm2
@@ -165,11 +168,12 @@ def _factorize(name: str, matrix: sp.spmatrix, **options):
 # coordinate bits per axis: the interleaved 52-bit key converts exactly
 # to a float64, whose exponent then gives its highest set bit
 MORTON_BITS = 26
-# most vertices in one part of the condensed exterior.  The reference disk
-# keeps one part at h = 0.01 (41k exterior vertices) and splits into 4 at
-# h = 0.005 and 0.0035 (165k and 338k); a smaller count would split the
-# latter into 16, whose dense interface block raises the peak (CHANGES.md)
-MAX_PART_VERTICES = 100_000
+# most vertices in one part of the condensed exterior.  Any count from
+# 10,561 to 13,481 splits the reference disk's exterior into 4 parts at
+# h = 0.01 (41k vertices) and into 60 at h = 0.005 (165k), and keeps the
+# 10k of h = 0.02 in one part; 20,000 (16 parts at h = 0.005) merged
+# faster but peaked higher in the benchmark's runs (CHANGES.md)
+MAX_PART_VERTICES = 12_000
 
 
 def _quadtree(
@@ -324,9 +328,56 @@ def _halo_update(
         raise SolveError(
             f"exterior factor residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}", residual=rel
         )
-    # reading lu.L or lu.U copies both whole factors, cached until lu goes
+    # reading lu.L or lu.U copies both whole factors, cached until lu goes;
+    # the product goes through SciPy's BLAS, not numpy's, whose separate
+    # OpenBLAS threads were seen to stall the LAPACK calls of the merge
     n = n_inner
-    return lu.L[n:, n:].toarray() @ lu.U[n:, n:].toarray() - m[n:, n:].toarray()
+    low, up = lu.L[n:, n:].toarray(order="F"), lu.U[n:, n:].toarray(order="F")
+    return blas.dtrmm(1.0, low, up, lower=1, overwrite_b=1) - m[n:, n:].toarray()
+
+
+def _eliminate(front: np.ndarray, k: int) -> np.ndarray:
+    """F22 - F21 F11^-1 F12 for a dense symmetric front F whose first ``k``
+    unknowns are eliminated, read from the lower triangle of F and written
+    to the lower triangle of the result alone.  Raises SolveError if F11
+    is not positive definite."""
+    try:
+        low = sla.cho_factor(front[:k, :k], lower=True, check_finite=False)[0]
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"interface factorization failed: {exc}") from exc
+    if k == len(front):
+        return np.zeros((0, 0))
+    # X = F21 L^-T, then F22 - X X^T on the lower triangle
+    x = blas.dtrsm(1.0, low, front[k:, :k], side=1, lower=1, trans_a=1)
+    return blas.dsyrk(-1.0, x, beta=1.0, c=front[k:, k:], lower=1, overwrite_c=1)
+
+
+def _merge(k_g: sp.csr_matrix, a: int, b: int, children) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate the separator of one quadtree cell, the interface
+    positions a to b - 1, whose rows of K0 are rows a to b - 1 of ``k_g``.
+
+    ``children`` holds the pending updates (positions, dense matrix) of the
+    parts and cells within the cell.  Positions below a belong to cells
+    merged before, so the front is a to b - 1, then the children's
+    positions and the separator's other K0 columns from b on, all sorted.
+    Returns the front past the separator and the update on it.  Positions
+    stay sorted from child to parent, so a lower triangle stays lower, and
+    only lower triangles are read.
+    """
+    lo, hi = k_g.indptr[a], k_g.indptr[b]
+    rows = np.repeat(np.arange(b - a), np.diff(k_g.indptr[a : b + 1]))
+    cols, vals = k_g.indices[lo:hi], k_g.data[lo:hi]
+    live = cols >= a
+    rows, cols, vals = rows[live], cols[live], vals[live]
+    front = np.unique(np.concatenate([np.arange(a, b), cols] + [at for at, _ in children]))
+    dense = np.zeros((len(front), len(front)), order="F")
+    for at, update in children:
+        ix = np.searchsorted(front, at)
+        dense[np.ix_(ix, ix)] += update
+    # the separator leads the front, so a row of K0 goes into the lower
+    # triangle as a column
+    dense[np.searchsorted(front, cols), rows] += vals
+    return front[b - a :], _eliminate(dense, b - a)
 
 
 class CondensedSystem:
@@ -343,28 +394,34 @@ class CondensedSystem:
 
     whose update is real, lives on H x H and depends on the mesh and S
     alone.  It is built from the float64 background stiffness K0 part by
-    part, so that no whole-mesh K0 and no whole exterior factor is held:
+    part, so that no whole-mesh K0, no whole exterior factor and no dense
+    block on the whole interface is held:
 
     1. E is ordered by the quadtree nested dissection of ``_quadtree`` (it
        fills less than SuperLU's default COLAMD) on the triangles' edges.
        ``_parts`` splits it at the top levels of that quadtree into parts
-       of at most MAX_PART_VERTICES vertices and the interface G of
-       separators between them; a smaller E is one part and G is empty.
+       of at most MAX_PART_VERTICES vertices and the interface G of the
+       separators of the cells above them; a smaller E is one part and G
+       is empty.
     2. Each part C, with its halo B_C (the vertices of G and H on
        triangles that touch C), is assembled from the triangles that touch
        C or B_C and factorized alone in dissection order with B_C last
-       (``_halo_update``).  Its -K_BC K_CC^-1 K_CB is added into a dense
-       symmetric matrix T on G and H, and the factor is checked and freed
-       before the next part starts.
-    3. T also holds K0's rows on G, assembled once from the triangles that
-       touch G; its H x H block starts at zero.  One dense Cholesky factor
-       of T_GG leaves the update T_HH - T_GH^T T_GG^-1 T_GH.
+       (``_halo_update``).  Its dense update -K_BC K_CC^-1 K_CB waits on a
+       stack, and the factor is checked and freed before the next part
+       starts.
+    3. In dissection order each cell's separator is one run of G and the
+       cells come in post-order, deepest first.  Each cell takes the
+       pending updates from within it and adds K0's rows on its separator
+       (assembled once, sparse, from the triangles that touch G) into a
+       dense front, eliminates the separator with one Cholesky factor
+       (``_merge``) and leaves the update on the rest of the front for
+       its parent.  What is left at the root lives on H x H.
 
-    With one part, every triangle is assembled once and the update is the
-    trailing block of one factor of K0 on E and H, less K0_HH.  The complex
-    |S| matrix ``schur`` is factorized once, in minimum-degree order on its
-    symmetric pattern (it fills less than SuperLU's default COLAMD), and
-    serves every solve.
+    With one part there is no cell to merge, every triangle is assembled
+    once and the update is the trailing block of one factor of K0 on E and
+    H, less K0_HH.  The complex |S| matrix ``schur`` is factorized once, in
+    minimum-degree order on its symmetric pattern (it fills less than
+    SuperLU's default COLAMD), and serves every solve.
     """
 
     def __init__(self, mesh: Mesh, nodes: np.ndarray, block: sp.spmatrix):
@@ -383,39 +440,50 @@ class CondensedSystem:
         key, level, order = _quadtree(mesh.vertices[exterior], edges[:, 0], edges[:, 1])
         del corners, edges
         part = _parts(key, level)
-        interface = exterior[part < 0]
-        n_g = len(interface)
-        # T's vertices, the interface G and then the halo H, and the blocks
-        # of T on and above its diagonal; T_GG is in column order, so that
-        # its Cholesky factor can overwrite it
+        # the interface G in dissection order: each cell's separator is one
+        # run of it, and the cells come in post-order
+        cut = order[part[order] < 0]
+        interface = exterior[cut]
+        n_g = len(cut)
+        cell_end = key[cut] | ((1 << level[cut]) - 1)
+        starts = np.flatnonzero(np.diff(cell_end, prepend=-1) | np.diff(level[cut], prepend=-1))
+        stops = np.append(starts[1:], n_g)
+        # the vertices of the fronts, G and then H, and K0's rows on G
         shared = np.concatenate([interface, nodes[halo]])
-        t_gg = np.zeros((n_g, n_g), order="F")
-        t_gh = np.zeros((n_g, len(halo)))
-        t_hh = np.zeros((len(halo), len(halo)))
+        k_g = sp.csr_matrix((0, len(shared)))
         if n_g:
             on_g = np.zeros(mesh.num_vertices, dtype=bool)
             on_g[interface] = True
             k = _background(mesh.vertices, triangles[np.any(on_g[triangles], axis=1)])
-            rows_g = k[interface][:, shared].toarray()
+            k_g = k[interface][:, shared].tocsr()
             del k
-            t_gg[:] = rows_g[:, :n_g]
-            t_gh[:] = rows_g[:, n_g:]
-        for near, inner, border in _part_spans(mesh, exterior, part, order, shared):
-            update = _halo_update(
-                mesh.vertices, near, np.concatenate([inner, shared[border]]), len(inner)
-            )
-            # border is sorted, so its interface vertices come first
-            on, off = border[border < n_g], border[border >= n_g] - n_g
-            t_gg[np.ix_(on, on)] += update[: len(on), : len(on)]
-            t_gh[np.ix_(on, off)] += update[: len(on), len(on) :]
-            t_hh[np.ix_(off, off)] += update[len(on) :, len(on) :]
-        update = t_hh
-        if n_g:
-            try:
-                factor = sla.cho_factor(t_gg, overwrite_a=True)
-            except np.linalg.LinAlgError as exc:
-                raise SolveError(f"interface factorization failed: {exc}") from exc
-            update = t_hh - t_gh.T @ sla.cho_solve(factor, t_gh)
+        # a part is condensed just before the first cell whose last key
+        # reaches any of its own: its lowest ancestor, or a cell after it
+        in_part = part >= 0
+        part_key = np.zeros(int(np.max(part, initial=-1)) + 1, dtype=np.int64)
+        part_key[part[in_part]] = key[in_part]
+        due = np.bincount(np.searchsorted(cell_end[starts], part_key), minlength=len(starts) + 1)
+        parts = zip(part_key, _part_spans(mesh, exterior, part, order, shared))
+        # updates not merged yet: a key within the part or cell they come
+        # from, their positions in shared and the dense matrix
+        pending = []
+        for cell, count in enumerate(due):
+            for at, (near, inner, border) in itertools.islice(parts, count):
+                chain = np.concatenate([inner, shared[border]])
+                pending.append((at, border, _halo_update(mesh.vertices, near, chain, len(inner))))
+            if cell == len(starts):
+                break
+            a = starts[cell]
+            shift, at = level[cut[a]], key[cut[a]]
+            children = []
+            while pending and pending[-1][0] >> shift == at >> shift:
+                children.append(pending.pop()[1:])
+            pending.append((at, *_merge(k_g, a, stops[cell], children)))
+        # with G merged, what is left lives on H alone
+        update = np.zeros((len(halo), len(halo)))
+        for _, at, pending_update in pending:
+            update[np.ix_(at - n_g, at - n_g)] += pending_update
+        update = np.tril(update) + np.tril(update, -1).T
         rows, cols = np.meshgrid(halo, halo, indexing="ij")
         self.schur = (
             block + sp.csr_matrix((update.ravel(), (rows.ravel(), cols.ravel())), shape=block.shape)

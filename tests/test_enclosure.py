@@ -44,8 +44,10 @@ from scene_factory import ellipse_and_polygon_scene
 E1 = DirectionFrame((1.0, 0.0))
 COARSE_TAUS = np.linspace(2.0, 8.0, 9)
 # exterior part size at which the coarse disk splits into 4 parts and the
-# two-inclusion rectangle at h = 0.04 into 16
+# two-inclusion rectangle at h = 0.04 into 12 of its 16 cells
 SMALL_PART = 2000
+# part size at which that rectangle splits 8 levels deep, into 173 parts
+DEEP_PART = 300
 
 
 def whole_mesh_contrast(mesh, reduced):
@@ -532,6 +534,32 @@ def record_real_factors(monkeypatch):
     return factored
 
 
+def record_parts(monkeypatch):
+    """Make solver._parts record the part labels it returns; returns the
+    list of labels."""
+    parts = solver._parts
+    labels = []
+
+    def recording(key, level):
+        labels.append(parts(key, level))
+        return labels[-1]
+
+    monkeypatch.setattr(solver, "_parts", recording)
+    return labels
+
+
+def condensed_update(mesh, nodes):
+    """The update that condensing the exterior adds to the block on
+    ``nodes``, dense: the |S| matrix less its block.  The block is the
+    background's own, so the |S| matrix is the background's positive
+    definite Schur complement on S, and its diagonal is of the update's
+    size, so that subtracting the block gives the update back to its last
+    bits (a block of 1e3 I would round every diagonal entry to 1.1e-13)."""
+    k0 = solver.assemble(mesh.vertices, mesh.triangles, solver.identity_field(mesh).real)
+    block = k0[nodes][:, nodes].tocsc()
+    return (solver.CondensedSystem(mesh, nodes, block).schur - block).toarray()
+
+
 PARTITIONED_CASES = [
     pytest.param((UnitDisk(), 0.04, centered_scene), id="coarse-disk"),
     pytest.param(
@@ -551,14 +579,7 @@ class TestPartitionedExterior:
 
     def test_partition_has_parts_and_an_interface(self, case, monkeypatch):
         mesh, scene = case
-        parts = solver._parts
-        labels = []
-
-        def recording(key, level):
-            labels.append(parts(key, level))
-            return labels[-1]
-
-        monkeypatch.setattr(solver, "_parts", recording)
+        labels = record_parts(monkeypatch)
         monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
         factored = record_real_factors(monkeypatch)
         IndicatorEngine(reduce_scene(scene), mesh)
@@ -569,18 +590,13 @@ class TestPartitionedExterior:
         assert len(factored) == n_parts
 
     def test_update_matches_one_part(self, case, monkeypatch):
-        # the update is the |S| matrix less its block; a large diagonal
-        # block keeps that matrix nonsingular
         mesh, scene = case
         nodes = IndicatorEngine(reduce_scene(scene), mesh).nodes
-        block = 1e3 * scipy.sparse.identity(len(nodes), format="csc")
-
-        def update():
-            return (solver.CondensedSystem(mesh, nodes, block).schur - block).toarray()
-
-        whole = update()
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", mesh.num_vertices)
+        whole = condensed_update(mesh, nodes)
         monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
-        assert np.max(np.abs(update() - whole)) <= 1e-13 * np.max(np.abs(whole))
+        split = condensed_update(mesh, nodes)
+        assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
 
     def test_matches_all_vertex_formula(self, case, monkeypatch):
         mesh, scene = case
@@ -646,6 +662,53 @@ class TestPartitionedExterior:
         monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
         with pytest.raises(SolveError, match="^interface factorization failed: not positive"):
             IndicatorEngine(reduce_scene(scene), mesh)
+
+    def test_interface_is_merged_cell_by_cell(self, case, monkeypatch):
+        # each cell's separator is factorized alone in its own front, and
+        # no factorization spans the whole interface, let alone G and H
+        mesh, scene = case
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
+        labels = record_parts(monkeypatch)
+        cho_factor = scipy.linalg.cho_factor
+        orders = []
+
+        def recording(a, *args, **kwargs):
+            orders.append(len(a))
+            return cho_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+        IndicatorEngine(reduce_scene(scene), mesh)
+        [part] = labels
+        n_g = int(np.sum(part < 0))
+        assert len(orders) >= 3
+        assert sum(orders) == n_g
+        assert max(orders) < n_g
+
+    @pytest.fixture
+    def deep_case(self):
+        """The two-inclusion rectangle, which DEEP_PART splits 8 levels
+        deep, so that most of the interface is merged in cells below the
+        top two levels."""
+        return generate_mesh(Rectangle(-1.5, 1.5, -1.0, 1.0), 0.04), ellipse_and_polygon_scene()
+
+    def test_deep_split_matches_one_part(self, deep_case, monkeypatch):
+        mesh, scene = deep_case
+        nodes = IndicatorEngine(reduce_scene(scene), mesh).nodes
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", mesh.num_vertices)
+        whole = condensed_update(mesh, nodes)
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", DEEP_PART)
+        labels = record_parts(monkeypatch)
+        split = condensed_update(mesh, nodes)
+        # more parts than the 16 cells of a split 4 levels deep
+        assert labels[0].max() + 1 > 16
+        assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+    def test_deep_split_matches_all_vertex_formula(self, deep_case, monkeypatch):
+        mesh, scene = deep_case
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", DEEP_PART)
+        raw, reference = engine_and_all_vertex_reference(mesh, scene, COARSE_TAUS)
+        assert np.all(np.abs(reference) > 0.0)
+        assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
 
     def test_no_real_assembly_covers_the_mesh(self, case, monkeypatch):
         mesh, scene = case

@@ -17,7 +17,7 @@ import pytest
 
 from enclosure_kit import enclosure, materials, meshing
 from enclosure_kit.errors import InvalidParameterError
-from enclosure_kit.geometry import DirectionFrame, Disk, UnitDisk
+from enclosure_kit.geometry import DirectionFrame, Disk, Rectangle, UnitDisk
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "enclosure_kit"
@@ -133,6 +133,12 @@ def test_every_raise_is_typed():
         lambda: materials.MaterialScene("1", 1.0, 1.0),
         lambda: DirectionFrame("x"),
         lambda: DirectionFrame((1.0, "a")),
+        lambda: DirectionFrame.from_angle("x"),
+        lambda: materials.SymMat2("1", 0.0, 1.0),
+        lambda: materials.SymMat2.iso("1"),
+        lambda: materials.Inclusion("disk", materials.SymMat2.iso(1.0), materials.SymMat2.zero()),
+        lambda: materials.Inclusion(Disk((0, 0), 0.2), 1.0, materials.SymMat2.zero()),
+        lambda: Rectangle("0", 1.0, 0.0, 1.0),
         lambda: enclosure.sweep(
             materials.MaterialScene(1.0, 1.0, 1.0),
             meshing.generate_mesh(UnitDisk(), 0.2),
@@ -149,6 +155,12 @@ def test_every_raise_is_typed():
         "MaterialScene",
         "DirectionFrame-scalar",
         "DirectionFrame-entry",
+        "DirectionFrame.from_angle",
+        "SymMat2-entry",
+        "SymMat2.iso",
+        "Inclusion-shape",
+        "Inclusion-alpha",
+        "Rectangle-bound",
         "sweep-taus",
     ],
 )
