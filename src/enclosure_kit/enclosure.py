@@ -128,7 +128,13 @@ class IndicatorCurve:
     signs: np.ndarray
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
+        try:
+            taus = np.asarray(self.taus, dtype=float)
+            shapes = {np.shape(self.log_abs), np.shape(self.signs)}
+        except ValueError:  # a ragged nesting or a string
+            raise InvalidParameterError("curve arrays must hold real numbers") from None
+        if taus.ndim != 1 or shapes != {taus.shape}:
+            raise InvalidParameterError("curve taus, log_abs and signs must be 1-D of one length")
         if len(taus) and np.any(np.diff(taus) <= 0.0):
             raise InvalidParameterError("curve taus must be strictly increasing")
         if not np.all(np.isfinite(np.asarray(self.log_abs)[~self.underflow])):
@@ -238,7 +244,7 @@ class IndicatorEngine:
 
         Other heights come from ``IndicatorCurve.shifted``.
         """
-        taus = np.asarray(taus, dtype=float)
+        taus = _check_taus(self.mesh, taus)
         j = np.real(self.pairing_differences(frame, taus))
         shift = self.mesh.domain.support(frame.theta)
         under = np.abs(j) < UNDERFLOW_FLOOR

@@ -9,10 +9,10 @@ values are matched exactly and the weak Neumann pairing
 is independent of the discrete extension v of g up to the interior
 residual.  ``CondensedSystem`` solves the interior problem for sources on
 the inclusion nodes only, through a factorization of the inclusion nodes'
-Schur complement; it condenses the background exterior onto them part by
-part (quadtree parts of at most MAX_PART_VERTICES vertices, each factored
-and freed in turn), and merges the parts' updates pairwise up the quadtree
-in small dense fronts, one per cell separator.
+Schur complement.  It condenses the background exterior onto them in one
+walk over its quadtree dissection order: each quadtree part (at most
+MAX_PART_VERTICES vertices) is factored and freed in turn, and each cell
+separator merges the updates from within its cell in a small dense front.
 ``DirichletSystem`` factorizes the whole interior and serves as the test
 reference.  Both factorize once (SuperLU, deterministic ordering), reuse
 the factors across right-hand sides and check every solve's residual.
@@ -20,7 +20,6 @@ the factors across right-hand sides and check every solve's residual.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,58 +246,33 @@ def _parts(key: np.ndarray, level: np.ndarray) -> np.ndarray:
     return part
 
 
-def _incidence(labels: np.ndarray, n: int) -> sp.csr_matrix:
-    """Pattern with an entry (i, labels[i, j]) for every label >= 0, one
-    row per row of ``labels`` and ``n`` columns."""
-    rows, cols = np.nonzero(labels >= 0)
-    return sp.csr_matrix(
-        (np.ones(len(rows)), (rows, labels[rows, cols])), shape=(len(labels), n)
-    )
+def _touching(incidence: sp.csr_matrix, vertices: np.ndarray) -> np.ndarray:
+    """The triangles that touch any of ``vertices``, in mesh order."""
+    hit = np.zeros(incidence.shape[1], dtype=bool)
+    hit[incidence[vertices].indices] = True
+    return np.flatnonzero(hit)
 
 
-def _part_spans(
-    mesh: Mesh, exterior: np.ndarray, part: np.ndarray, order: np.ndarray, shared: np.ndarray
-):
-    """Per part C of the exterior, in label order: the triangles that touch
-    C or its halo B_C, in mesh order; C's vertices in dissection order; and
-    B_C, the vertices of ``shared`` on triangles that touch C, as positions
-    in ``shared``.
+def _background(
+    vertices: np.ndarray, triangles: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> sp.csr_matrix:
+    """Block ``rows`` x ``cols`` of the stiffness of the real identity
+    background over ``triangles``.
 
-    ``part`` labels the ``exterior`` vertices (-1 off every part) and
-    ``order`` is their dissection order.  With one part and no interface
-    the triangles are all of the mesh's, which gives the same rows on C and
-    B_C.
+    The vertices of ``triangles``, ``rows`` and ``cols`` are numbered
+    compactly in mesh order, so each row holds its entries in the same
+    relative column order as an assembly numbered over the whole mesh,
+    sums its duplicates in the same order and matches that block bit for
+    bit.
     """
-    n_parts = int(np.max(part, initial=-1)) + 1
-    grouped = order[np.argsort(part[order], kind="stable")]
-    ends = np.cumsum(np.bincount(part + 1, minlength=n_parts + 1))
-    inner = [exterior[grouped[ends[c] : ends[c + 1]]] for c in range(n_parts)]
-    if n_parts == 1 and ends[0] == 0:
-        yield mesh.triangles, inner[0], np.arange(len(shared))
-        return
-    part_of = np.full(mesh.num_vertices, -1)
-    part_of[exterior] = part
-    slot = np.full(mesh.num_vertices, -1)
-    slot[shared] = np.arange(len(shared))
-    on_part = _incidence(part_of[mesh.triangles], n_parts)
-    on_shared = _incidence(slot[mesh.triangles], len(shared))
-    del part_of, slot
-    halos = (on_shared.T @ on_part).tocsc()
-    near = (on_part + on_shared @ halos).tocsc()
-    del on_part, on_shared
-    halos.sort_indices()
-    near.sort_indices()
-    for c in range(n_parts):
-        yield (
-            mesh.triangles[near.indices[near.indptr[c] : near.indptr[c + 1]]],
-            inner[c],
-            halos.indices[halos.indptr[c] : halos.indptr[c + 1]],
-        )
-
-
-def _background(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matrix:
-    """Stiffness of the real identity background over ``triangles``."""
-    return assemble(vertices, triangles, np.broadcast_to(np.eye(2), (len(triangles), 2, 2)))
+    used = np.zeros(len(vertices), dtype=bool)
+    used[triangles] = used[rows] = used[cols] = True
+    ids = np.flatnonzero(used)
+    # set and read only at ``ids``: a cumsum over every vertex cost more
+    number = np.empty(len(vertices), dtype=np.int64)
+    number[ids] = np.arange(len(ids))
+    eye = np.broadcast_to(np.eye(2), (len(triangles), 2, 2))
+    return assemble(vertices[ids], number[triangles], eye)[number[rows]][:, number[cols]]
 
 
 def _halo_update(
@@ -315,9 +289,7 @@ def _halo_update(
     factor moves B off the end or misses RESIDUAL_TOL on one column; the
     factor and its copies are freed on return.
     """
-    k = _background(vertices, triangles)
-    m = k[order][:, order].tocsc()
-    del k
+    m = _background(vertices, triangles, order, order).tocsc()
     lu = _factorize("exterior", m, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     tail = np.arange(n_inner, len(order))
     if not (np.array_equal(lu.perm_r[tail], tail) and np.array_equal(lu.perm_c[tail], tail)):
@@ -403,25 +375,24 @@ class CondensedSystem:
        of at most MAX_PART_VERTICES vertices and the interface G of the
        separators of the cells above them; a smaller E is one part and G
        is empty.
-    2. Each part C, with its halo B_C (the vertices of G and H on
-       triangles that touch C), is assembled from the triangles that touch
-       C or B_C and factorized alone in dissection order with B_C last
-       (``_halo_update``).  Its dense update -K_BC K_CC^-1 K_CB waits on a
-       stack, and the factor is checked and freed before the next part
-       starts.
-    3. In dissection order each cell's separator is one run of G and the
-       cells come in post-order, deepest first.  Each cell takes the
-       pending updates from within it and adds K0's rows on its separator
-       (assembled once, sparse, from the triangles that touch G) into a
-       dense front, eliminates the separator with one Cholesky factor
-       (``_merge``) and leaves the update on the rest of the front for
-       its parent.  What is left at the root lives on H x H.
+    2. In dissection order each part is one run, and so is each cell's
+       separator; the runs come in post-order, deepest cell first, and
+       are walked once with one stack of pending updates.
+    3. A part C, with its halo B_C (the vertices of G and H on triangles
+       that touch C), is assembled from the triangles that touch C or B_C
+       and factorized alone with B_C last (``_halo_update``); its dense
+       update -K_BC K_CC^-1 K_CB is pushed, and the factor is checked and
+       freed before the next run.  A separator pops the updates from
+       within its cell, adds K0's rows on it (kept sparse, from the
+       triangles that touch G) into a dense front, eliminates itself with
+       one Cholesky factor (``_merge``) and pushes the update on the rest
+       of the front.  What is left at the end lives on H x H.
 
-    With one part there is no cell to merge, every triangle is assembled
-    once and the update is the trailing block of one factor of K0 on E and
-    H, less K0_HH.  The complex |S| matrix ``schur`` is factorized once, in
-    minimum-degree order on its symmetric pattern (it fills less than
-    SuperLU's default COLAMD), and serves every solve.
+    With one part there is no cell to merge, and the update is the
+    trailing block of one factor of K0 on E and H, less K0_HH.  The complex
+    |S| matrix ``schur`` is factorized once, in minimum-degree order on its
+    symmetric pattern (it fills less than SuperLU's default COLAMD), and
+    serves every solve.
     """
 
     def __init__(self, mesh: Mesh, nodes: np.ndarray, block: sp.spmatrix):
@@ -439,50 +410,54 @@ class CondensedSystem:
         edges = edges[np.all(edges >= 0, axis=1)]
         key, level, order = _quadtree(mesh.vertices[exterior], edges[:, 0], edges[:, 1])
         del corners, edges
-        part = _parts(key, level)
-        # the interface G in dissection order: each cell's separator is one
-        # run of it, and the cells come in post-order
-        cut = order[part[order] < 0]
-        interface = exterior[cut]
-        n_g = len(cut)
-        cell_end = key[cut] | ((1 << level[cut]) - 1)
-        starts = np.flatnonzero(np.diff(cell_end, prepend=-1) | np.diff(level[cut], prepend=-1))
-        stops = np.append(starts[1:], n_g)
-        # the vertices of the fronts, G and then H, and K0's rows on G
+        part = _parts(key, level)[order]
+        key, level, exterior = key[order], level[order], exterior[order]
+        # in dissection order each part is one run, and so is each cell's
+        # separator in the interface G (part -1), told apart by the cell's
+        # last key and level; the runs come in post-order
+        on_g = part < 0
+        cell = np.where(on_g, key | ((1 << level) - 1), part)
+        starts = np.flatnonzero(np.diff(cell, prepend=-1) | np.diff(level * on_g, prepend=-1))
+        del cell
+        # the vertices of the fronts, G and then H
+        interface = exterior[on_g]
         shared = np.concatenate([interface, nodes[halo]])
-        k_g = sp.csr_matrix((0, len(shared)))
-        if n_g:
-            on_g = np.zeros(mesh.num_vertices, dtype=bool)
-            on_g[interface] = True
-            k = _background(mesh.vertices, triangles[np.any(on_g[triangles], axis=1)])
-            k_g = k[interface][:, shared].tocsr()
-            del k
-        # a part is condensed just before the first cell whose last key
-        # reaches any of its own: its lowest ancestor, or a cell after it
-        in_part = part >= 0
-        part_key = np.zeros(int(np.max(part, initial=-1)) + 1, dtype=np.int64)
-        part_key[part[in_part]] = key[in_part]
-        due = np.bincount(np.searchsorted(cell_end[starts], part_key), minlength=len(starts) + 1)
-        parts = zip(part_key, _part_spans(mesh, exterior, part, order, shared))
+        slot = np.full(mesh.num_vertices, -1)
+        slot[shared] = np.arange(len(shared))
+        # which triangles touch each vertex
+        incidence = sp.csr_matrix(
+            (np.ones(triangles.size, dtype=bool), (triangles.ravel(), np.arange(triangles.size) // 3)),
+            shape=(mesh.num_vertices, len(triangles)),
+        )
+        # K0's rows on G, assembled only if G is not empty
+        near = triangles[_touching(incidence, interface)]
+        k_g = _background(mesh.vertices, near, interface, shared) if len(interface) else None
         # updates not merged yet: a key within the part or cell they come
         # from, their positions in shared and the dense matrix
         pending = []
-        for cell, count in enumerate(due):
-            for at, (near, inner, border) in itertools.islice(parts, count):
+        merged = 0  # G's vertices eliminated so far
+        for a, b in zip(starts, np.append(starts[1:], len(exterior))):
+            if on_g[a]:
+                children = []
+                while pending and pending[-1][0] >> level[a] == key[a] >> level[a]:
+                    children.append(pending.pop()[1:])
+                pending.append((key[a], *_merge(k_g, merged, merged + b - a, children)))
+                merged += b - a
+            else:
+                # a part C and its halo B_C, the vertices of G and H on the
+                # triangles that touch C
+                inner = exterior[a:b]
+                touched = slot[triangles[_touching(incidence, inner)]]
+                border = np.flatnonzero(np.bincount(touched[touched >= 0], minlength=len(shared)))
+                del touched
                 chain = np.concatenate([inner, shared[border]])
-                pending.append((at, border, _halo_update(mesh.vertices, near, chain, len(inner))))
-            if cell == len(starts):
-                break
-            a = starts[cell]
-            shift, at = level[cut[a]], key[cut[a]]
-            children = []
-            while pending and pending[-1][0] >> shift == at >> shift:
-                children.append(pending.pop()[1:])
-            pending.append((at, *_merge(k_g, a, stops[cell], children)))
+                near = triangles[_touching(incidence, chain)]
+                pending.append((key[a], border, _halo_update(mesh.vertices, near, chain, b - a)))
+        del incidence, slot
         # with G merged, what is left lives on H alone
         update = np.zeros((len(halo), len(halo)))
         for _, at, pending_update in pending:
-            update[np.ix_(at - n_g, at - n_g)] += pending_update
+            update[np.ix_(at - merged, at - merged)] += pending_update
         update = np.tril(update) + np.tril(update, -1).T
         rows, cols = np.meshgrid(halo, halo, indexing="ij")
         self.schur = (

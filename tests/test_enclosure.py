@@ -493,7 +493,11 @@ class TestIndicator:
         )
         assert raw_def == pytest.approx(raw_engine, rel=5e-2)
 
-    @pytest.mark.parametrize("taus", [[], [[2.0, 3.0]]], ids=["empty", "two-dimensional"])
+    @pytest.mark.parametrize(
+        "taus",
+        [[], [[2.0, 3.0]], [[1.0], [2.0, 3.0]], ["a", "b"], [1 + 1j, 2]],
+        ids=["empty", "two-dimensional", "ragged", "strings", "complex"],
+    )
     def test_curve_refuses_malformed_tau_grid(self, coarse_engine, taus):
         with pytest.raises(InvalidParameterError):
             coarse_engine.curve(E1, taus)
@@ -506,6 +510,25 @@ class TestIndicator:
                 log_abs=np.zeros(2),
                 signs=np.zeros(2, dtype=int),
             )
+        # the three arrays are 1-D and of one length
+        for n_log, n_signs in ((1, 2), (2, 1), (3, 3)):
+            with pytest.raises(InvalidParameterError, match="one length"):
+                IndicatorCurve(
+                    t=0.0,
+                    taus=np.array([1.0, 2.0]),
+                    log_abs=np.zeros(n_log),
+                    signs=np.ones(n_signs, dtype=int),
+                )
+        with pytest.raises(InvalidParameterError, match="one length"):
+            IndicatorCurve(
+                t=0.0,
+                taus=np.array([[1.0, 2.0]]),
+                log_abs=np.zeros((1, 2)),
+                signs=np.ones((1, 2), dtype=int),
+            )
+        for taus in ([[1.0], [2.0, 3.0]], ["a", "b"]):
+            with pytest.raises(InvalidParameterError, match="real numbers"):
+                IndicatorCurve(t=0.0, taus=taus, log_abs=np.zeros(2), signs=np.ones(2, dtype=int))
 
     def test_curve_refuses_unflagged_non_finite_log(self):
         # an infinite log sample is allowed only where the sign marks underflow
@@ -588,6 +611,51 @@ class TestPartitionedExterior:
         assert n_parts >= 4 and np.any(part < 0)
         assert np.max(np.bincount(part[part >= 0])) <= SMALL_PART
         assert len(factored) == n_parts
+
+    @pytest.mark.parametrize("part_size", [solver.MAX_PART_VERTICES, SMALL_PART, DEEP_PART])
+    def test_each_part_is_one_run_of_the_order(self, case, monkeypatch, part_size):
+        # the set-up walks the dissection order run by run, a part at a time
+        mesh, scene = case
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", part_size)
+        quadtree = solver._quadtree
+        trees = []
+
+        def recording(*args):
+            trees.append(quadtree(*args))
+            return trees[-1]
+
+        monkeypatch.setattr(solver, "_quadtree", recording)
+        IndicatorEngine(reduce_scene(scene), mesh)
+        [(key, level, order)] = trees
+        part = solver._parts(key, level)[order]
+        runs = part[np.flatnonzero(np.diff(part, prepend=-2))]
+        assert np.array_equal(runs[runs >= 0], np.arange(part.max() + 1))
+
+    @pytest.mark.parametrize("one_part", [True, False], ids=["one-part", "small-parts"])
+    def test_part_matrix_is_the_whole_mesh_block(self, case, monkeypatch, one_part):
+        # each part's matrix, assembled in its own numbering, equals that
+        # block of the whole-mesh K0 bit for bit
+        mesh, scene = case
+        part_size = mesh.num_vertices if one_part else SMALL_PART
+        monkeypatch.setattr(solver, "MAX_PART_VERTICES", part_size)
+        halo_update = solver._halo_update
+        orders = []
+
+        def recording(vertices, triangles, order, n_inner):
+            orders.append(order)
+            return halo_update(vertices, triangles, order, n_inner)
+
+        monkeypatch.setattr(solver, "_halo_update", recording)
+        factored = record_real_factors(monkeypatch)
+        IndicatorEngine(reduce_scene(scene), mesh)
+        assert len(factored) == len(orders)
+        assert len(orders) == 1 if one_part else len(orders) >= 4
+        k0 = solver.assemble(mesh.vertices, mesh.triangles, solver.identity_field(mesh).real)
+        for (matrix, _), order in zip(factored, orders):
+            block = k0[order][:, order].tocsc()
+            assert np.array_equal(matrix.indptr, block.indptr)
+            assert np.array_equal(matrix.indices, block.indices)
+            assert np.array_equal(matrix.data.view(np.uint64), block.data.view(np.uint64))
 
     def test_update_matches_one_part(self, case, monkeypatch):
         mesh, scene = case
