@@ -104,15 +104,6 @@ def _check_taus(mesh: Mesh, taus) -> np.ndarray:
     return taus
 
 
-def cgo_trace(mesh: Mesh, probe: Probe) -> np.ndarray:
-    """Probe trace at the boundary vertices, in boundary-loop order.
-
-    Refuses underresolved probes instead of degrading.
-    """
-    _require_resolved(mesh, probe.tau)
-    return probe.evaluate(mesh.vertices[mesh.boundary_vertices])
-
-
 @dataclass(frozen=True)
 class IndicatorCurve:
     """Indicator samples along increasing tau at a fixed height t.
@@ -182,8 +173,10 @@ class IndicatorEngine:
     subtracting pairings would bury it under discretization pollution.
 
     The coefficient is read by triangle label from a table of one tensor
-    per inclusion (``solver.reduced_tensors``), never as a whole-mesh
-    array.  dA is assembled once, from the triangles around the inclusion
+    per inclusion (``solver.contrast_tensors``), never as a whole-mesh
+    array.  The table holds dA = a - i*omega*b itself, so a small contrast
+    is not cancelled by subtracting I from I + dA, and K's table is I plus
+    it.  dA is assembled once, from the triangles around the inclusion
     only, and kept as ``contrast``, its block on ``nodes``, the vertices
     of inclusion triangles: it has no entries in any other row or column.
     Probes are evaluated on those nodes alone, and the source, the
@@ -199,8 +192,8 @@ class IndicatorEngine:
     def __init__(self, reduced: ReducedScene, mesh: Mesh):
         self.mesh = mesh
         labels = solver.inclusion_labels(mesh, [inc.shape for inc in reduced.inclusions])
-        tensors = solver.reduced_tensors(reduced)
-        d_a = tensors - np.eye(2)
+        d_a = solver.contrast_tensors(reduced)
+        tensors = np.eye(2) + d_a
         touched = np.unique(mesh.triangles[np.any(d_a != 0.0, axis=(1, 2))[labels]])
         # Every triangle with a vertex in `touched`, not the inclusion
         # triangles alone: SciPy sums a row's duplicate entries after an

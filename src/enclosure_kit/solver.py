@@ -11,8 +11,9 @@ residual.  ``CondensedSystem`` solves the interior problem for sources on
 the inclusion nodes only, through a factorization of the inclusion nodes'
 Schur complement.  It condenses the background exterior onto them in one
 walk over its quadtree dissection order: each quadtree part (at most
-MAX_PART_VERTICES vertices) is factored and freed in turn, and each cell
-separator merges the updates from within its cell in a small dense front.
+MAX_PART_VERTICES vertices) is factored and freed in turn, each cell
+separator merges the updates from within its cell in a small dense front,
+and a last front, with nothing to eliminate, sums what is left on the halo.
 ``DirichletSystem`` factorizes the whole interior and serves as the test
 reference.  Both factorize once (SuperLU, deterministic ordering), reuse
 the factors across right-hand sides and check every solve's residual.
@@ -63,18 +64,16 @@ def scene_field(mesh: Mesh, scene: MaterialScene) -> np.ndarray:
     return np.array(table)[inclusion_labels(mesh, [inc.shape for inc in scene.inclusions])]
 
 
-def reduced_tensors(reduced: ReducedScene) -> np.ndarray:
-    """(I + a) - i*omega*b per inclusion, then the identity that label -1 selects."""
-    table = [
-        np.eye(2) + inc.a.as_array() - 1j * reduced.omega * inc.b.as_array()
-        for inc in reduced.inclusions
-    ]
-    return np.array(table + [np.eye(2, dtype=complex)])
+def contrast_tensors(reduced: ReducedScene) -> np.ndarray:
+    """a - i*omega*b per inclusion, then the zero row that label -1 selects."""
+    table = [i.a.as_array() - 1j * reduced.omega * i.b.as_array() for i in reduced.inclusions]
+    return np.array(table + [np.zeros((2, 2), dtype=complex)])
 
 
 def reduced_field(mesh: Mesh, reduced: ReducedScene) -> np.ndarray:
     """(I + a) - i*omega*b sampled at centroids, identity background."""
-    return reduced_tensors(reduced)[inclusion_labels(mesh, [i.shape for i in reduced.inclusions])]
+    labels = inclusion_labels(mesh, [i.shape for i in reduced.inclusions])
+    return (np.eye(2) + contrast_tensors(reduced))[labels]
 
 
 def assemble(
@@ -214,17 +213,6 @@ def _quadtree(
     return key, level, np.lexsort((level, key | ((1 << level) - 1)))
 
 
-def dissection_order(points: np.ndarray, graph: sp.spmatrix) -> np.ndarray:
-    """Quadtree nested-dissection order of a graph's vertices.
-
-    ``points`` holds one coordinate pair per vertex, and every stored entry
-    of ``graph`` is an edge; ``_quadtree`` describes the order.  Returns a
-    permutation of range(len(points)).
-    """
-    graph = graph.tocoo()
-    return _quadtree(points, graph.row, graph.col)[2]
-
-
 def _parts(key: np.ndarray, level: np.ndarray) -> np.ndarray:
     """Part label of each vertex of a quadtree, -1 on the interface.
 
@@ -311,13 +299,13 @@ def _halo_update(
 def _eliminate(front: np.ndarray, k: int) -> np.ndarray:
     """F22 - F21 F11^-1 F12 for a dense symmetric front F whose first ``k``
     unknowns are eliminated, read from the lower triangle of F and written
-    to the lower triangle of the result alone.  Raises SolveError if F11
-    is not positive definite."""
+    to the lower triangle of the result alone; with k = 0 that is F
+    itself.  Raises SolveError if F11 is not positive definite."""
     try:
         low = sla.cho_factor(front[:k, :k], lower=True, check_finite=False)[0]
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"interface factorization failed: {exc}") from exc
-    if k == len(front):
+    if k == len(front):  # dsyrk refuses an empty trailing block
         return np.zeros((0, 0))
     # X = F21 L^-T, then F22 - X X^T on the lower triangle
     x = blas.dtrsm(1.0, low, front[k:, :k], side=1, lower=1, trans_a=1)
@@ -329,26 +317,28 @@ def _merge(k_g: sp.csr_matrix, a: int, b: int, children) -> tuple[np.ndarray, np
     positions a to b - 1, whose rows of K0 are rows a to b - 1 of ``k_g``.
 
     ``children`` holds the pending updates (positions, dense matrix) of the
-    parts and cells within the cell.  Positions below a belong to cells
-    merged before, so the front is a to b - 1, then the children's
-    positions and the separator's other K0 columns from b on, all sorted.
-    Returns the front past the separator and the update on it.  Positions
-    stay sorted from child to parent, so a lower triangle stays lower, and
-    only lower triangles are read.
+    parts and cells within the cell, summed in the order given.  Positions
+    below a belong to cells merged before, so the front is a to b - 1, then
+    the children's positions and the separator's other K0 columns from b
+    on, all sorted.  Returns the front past the separator and the update on
+    it; with a == b nothing is eliminated, and the update is the sum.
+    Positions stay sorted from child to parent, so a lower triangle stays
+    lower, and only lower triangles are read.
     """
-    lo, hi = k_g.indptr[a], k_g.indptr[b]
-    rows = np.repeat(np.arange(b - a), np.diff(k_g.indptr[a : b + 1]))
-    cols, vals = k_g.indices[lo:hi], k_g.data[lo:hi]
-    live = cols >= a
-    rows, cols, vals = rows[live], cols[live], vals[live]
+    rows = k_g[a:b].tocoo()
+    live = rows.col >= a
+    cols, vals = rows.col[live], rows.data[live]
     front = np.unique(np.concatenate([np.arange(a, b), cols] + [at for at, _ in children]))
-    dense = np.zeros((len(front), len(front)), order="F")
+    n = len(front)
+    dense = np.zeros((n, n), order="F")
+    # a view, since dense is in column order: entry (i, j) is flat[i + n j]
+    flat = dense.ravel(order="F")
     for at, update in children:
         ix = np.searchsorted(front, at)
-        dense[np.ix_(ix, ix)] += update
+        flat[ix + n * ix[:, None]] += update.T
     # the separator leads the front, so a row of K0 goes into the lower
     # triangle as a column
-    dense[np.searchsorted(front, cols), rows] += vals
+    flat[np.searchsorted(front, cols) + n * rows.row[live]] += vals
     return front[b - a :], _eliminate(dense, b - a)
 
 
@@ -386,7 +376,8 @@ class CondensedSystem:
        within its cell, adds K0's rows on it (kept sparse, from the
        triangles that touch G) into a dense front, eliminates itself with
        one Cholesky factor (``_merge``) and pushes the update on the rest
-       of the front.  What is left at the end lives on H x H.
+       of the front.  What is left at the end lives on H, and a root front
+       with no separator sums it into the update on H x H (``_merge``).
 
     With one part there is no cell to merge, and the update is the
     trailing block of one factor of K0 on E and H, less K0_HH.  The complex
@@ -431,7 +422,9 @@ class CondensedSystem:
         )
         # K0's rows on G, assembled only if G is not empty
         near = triangles[_touching(incidence, interface)]
-        k_g = _background(mesh.vertices, near, interface, shared) if len(interface) else None
+        k_g = sp.csr_matrix((0, len(shared)))
+        if len(interface):
+            k_g = _background(mesh.vertices, near, interface, shared)
         # updates not merged yet: a key within the part or cell they come
         # from, their positions in shared and the dense matrix
         pending = []
@@ -447,19 +440,17 @@ class CondensedSystem:
                 # a part C and its halo B_C, the vertices of G and H on the
                 # triangles that touch C
                 inner = exterior[a:b]
-                touched = slot[triangles[_touching(incidence, inner)]]
-                border = np.flatnonzero(np.bincount(touched[touched >= 0], minlength=len(shared)))
-                del touched
+                border = np.unique(slot[triangles[_touching(incidence, inner)]])
+                border = border[border >= 0]
                 chain = np.concatenate([inner, shared[border]])
                 near = triangles[_touching(incidence, chain)]
                 pending.append((key[a], border, _halo_update(mesh.vertices, near, chain, b - a)))
         del incidence, slot
-        # with G merged, what is left lives on H alone
-        update = np.zeros((len(halo), len(halo)))
-        for _, at, pending_update in pending:
-            update[np.ix_(at - merged, at - merged)] += pending_update
+        # with G merged, what is left lives on H: the root front sums it
+        front, update = _merge(k_g, merged, merged, [entry[1:] for entry in pending])
         update = np.tril(update) + np.tril(update, -1).T
-        rows, cols = np.meshgrid(halo, halo, indexing="ij")
+        at = halo[front - merged]
+        rows, cols = np.meshgrid(at, at, indexing="ij")
         self.schur = (
             block + sp.csr_matrix((update.ravel(), (rows.ravel(), cols.ravel())), shape=block.shape)
         ).tocsc()

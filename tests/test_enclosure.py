@@ -13,7 +13,6 @@ from enclosure_kit.enclosure import (
     IndicatorCurve,
     IndicatorEngine,
     Probe,
-    cgo_trace,
     estimate_support,
     max_admissible_tau,
     sweep,
@@ -51,8 +50,10 @@ DEEP_PART = 300
 
 
 def whole_mesh_contrast(mesh, reduced):
-    """dA assembled over every triangle of the mesh, zeros included."""
-    d_a = solver.reduced_field(mesh, reduced) - solver.identity_field(mesh)
+    """dA assembled over every triangle of the mesh, zeros included, from
+    the exact a - i*omega*b of each triangle's label."""
+    labels = solver.inclusion_labels(mesh, [inc.shape for inc in reduced.inclusions])
+    d_a = solver.contrast_tensors(reduced)[labels]
     return solver.assemble(mesh.vertices, mesh.triangles, d_a)
 
 
@@ -145,7 +146,7 @@ def coarse_engine(coarse_mesh):
 class TestProbe:
     def test_shift_normalizes_magnitude(self, coarse_mesh):
         probe = Probe(E1, 6.0, UnitDisk().support(E1.theta))
-        trace = cgo_trace(coarse_mesh, probe)
+        trace = probe.evaluate(coarse_mesh.vertices[coarse_mesh.boundary_vertices])
         mags = np.abs(trace)
         assert np.max(mags) <= 1.0 + 1e-12
         # the supporting boundary vertex (1, 0) attains magnitude 1 exactly
@@ -153,13 +154,13 @@ class TestProbe:
 
     def test_small_tau_limit(self, coarse_mesh):
         probe = Probe(E1, 1e-9, UnitDisk().support(E1.theta))
-        trace = cgo_trace(coarse_mesh, probe)
+        trace = probe.evaluate(coarse_mesh.vertices[coarse_mesh.boundary_vertices])
         assert np.max(np.abs(trace - 1.0)) < 1e-8
 
-    def test_resolution_gate(self, coarse_mesh):
+    def test_resolution_gate(self, coarse_mesh, coarse_engine):
         tau_limit = max_admissible_tau(coarse_mesh)
         with pytest.raises(ProbeResolutionError) as info:
-            cgo_trace(coarse_mesh, Probe(E1, tau_limit * 1.01, UnitDisk().support(E1.theta)))
+            coarse_engine.curve(E1, [tau_limit * 1.01])
         assert info.value.tau_max_admissible == pytest.approx(tau_limit)
 
     def test_rejects_nonpositive_tau(self):
@@ -359,10 +360,12 @@ class TestIndicator:
         [
             (UnitDisk(), 0.04, centered_scene(1.0)),
             (UnitDisk(), 0.04, centered_scene(-0.5)),
+            # (I + a) - I would leave a 6.3e-5 relative off a here
+            (UnitDisk(), 0.04, centered_scene(1e-12)),
             (UnitDisk(), 0.04, MaterialScene(sigma0=1.0, eps0=1.0, omega=1.0)),
             (Rectangle(-1.5, 1.5, -1.0, 1.0), 0.1, ellipse_and_polygon_scene()),
         ],
-        ids=["positive", "negative", "empty", "ellipse-and-polygon"],
+        ids=["positive", "negative", "small-contrast", "empty", "ellipse-and-polygon"],
     )
     def test_contrast_block_matches_whole_mesh_assembly(self, domain, target_h, scene):
         # bit for bit: in each case with an inclusion, assembling the
@@ -483,7 +486,7 @@ class TestIndicator:
         engine = IndicatorEngine(red, coarse_mesh)
         tau = 2.0
         probe = Probe(E1, tau, UnitDisk().support(E1.theta))
-        trace = cgo_trace(coarse_mesh, probe)
+        trace = probe.evaluate(coarse_mesh.vertices[coarse_mesh.boundary_vertices])
         raw_engine = engine.pairing_differences(E1, np.array([tau]))[0]
         raw_def = solver.difference_pairing(
             solver.DirichletSystem(coarse_mesh, solver.reduced_field(coarse_mesh, red)),
@@ -780,7 +783,6 @@ class TestPartitionedExterior:
 
     def test_no_real_assembly_covers_the_mesh(self, case, monkeypatch):
         mesh, scene = case
-        monkeypatch.setattr(solver, "MAX_PART_VERTICES", SMALL_PART)
         assemble = solver.assemble
         real = []
 
@@ -791,10 +793,16 @@ class TestPartitionedExterior:
 
         monkeypatch.setattr(solver, "assemble", recording)
         factored = record_real_factors(monkeypatch)
-        IndicatorEngine(reduce_scene(scene), mesh)
-        # one per part, and one for the interface rows
-        assert len(real) == len(factored) + 1
-        assert max(real) < mesh.num_triangles
+        # split, one per part and one for the interface rows; in one part
+        # the interface is empty, and no assembly of its rows is made
+        for part_size, n_interface in ((SMALL_PART, 1), (mesh.num_vertices, 0)):
+            monkeypatch.setattr(solver, "MAX_PART_VERTICES", part_size)
+            real.clear()
+            factored.clear()
+            IndicatorEngine(reduce_scene(scene), mesh)
+            assert len(real) == len(factored) + n_interface
+            assert max(real) < mesh.num_triangles
+        assert len(factored) == 1
 
 
 class TestEstimateSupport:

@@ -14,8 +14,8 @@ from enclosure_kit.solver import (
     RESIDUAL_TOL,
     DirichletSystem,
     assemble,
+    _quadtree,
     difference_pairing,
-    dissection_order,
     dtn_pairing,
     identity_field,
     reduced_field,
@@ -297,6 +297,12 @@ def interior_graph(domain, target_h, hole):
         interior = interior[~inside]
     k = assemble_on(mesh, identity_field(mesh).real).tocsr()
     return mesh.vertices[interior], k[interior][:, interior]
+
+
+def dissection_order(points, graph):
+    """The exterior's quadtree order, with each stored entry of ``graph`` an edge."""
+    graph = graph.tocoo()
+    return _quadtree(points, graph.row, graph.col)[2]
 
 
 class TestDissectionOrder:

@@ -23,9 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "enclosure_kit"
 
 ALLOWED = {
-    "cgo_trace": "test reference: the probe trace of the two-solve check",
     "identity_field": "test reference: background field of the whole-interior solves",
-    "dissection_order": "test reference: the fill tests of the exterior's quadtree order",
     "scene_field": "test reference: original-variable field of criterion 5",
     "reduced_field": "test reference: whole-mesh reduced field of the whole-interior solves",
     "dtn_pairing": "test reference: weak Neumann pairing of criteria 4 and 5",
