@@ -13,15 +13,24 @@ exact linear shift 2*tau*(s - t).  The log-slope of I(tau, 0) against
 2*tau converges to the support function of the inclusion, which a
 least-squares fit over the upper half of the tau window estimates per
 direction; intersecting the fitted half planes encloses the convex hull.
+
+The probe is an entire function of z = x1 + i*x2: with zeta = theta_1 +
+i*theta_2 it is exp(tau*(conj(zeta)*z - s)).  On the inclusion nodes every
+probe up to a given tau_max is therefore, to rounding, a combination of a
+few dozen Taylor monomials about the centres of a few cells, and J is one
+small quadratic form in the probe's Taylor coefficients (``TaylorBlock``):
+one solve per tau_max serves every direction.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import geometry, materials, solver
 from .errors import (
@@ -41,10 +50,21 @@ RESOLUTION_GATE = 0.5
 UNDERFLOW_FLOOR = 1e-300
 # fewest samples in the upper half of the tau window that the fit accepts
 MIN_FIT_SAMPLES = 4
-# largest solve block, inclusion nodes x taus, checked on the vertex
-# count, which bounds it from above before any factorization: 8M complex
-# entries are 128 MB, and a solve holds a few arrays of that size at once
+# largest solve block: 8M complex entries are 128 MB, and a solve holds a
+# few arrays of that size at once.  The Taylor block's columns are solved
+# in batches of inclusion nodes x columns within it, and its G, columns
+# squared, must fit.  ``sweep`` still refuses vertices x taus over it
+# before any factorization, though the tau count no longer sets the block
 MAX_SOLVE_BLOCK = 8_000_000
+
+# largest tau_max * r of a Taylor cell, r the radius of its nodes about
+# its centre.  Against the per-direction solve, quarter cells of a disk of
+# radius 0.5 at h = 0.01 gave J to 6.4e-14 at tau_max * r = 5, 3.4e-13 at
+# 6 and 1.8e-12 at 8; no case limited to 5 was worse than 8.8e-14
+TAYLOR_CELL_LIMIT = 5.0
+# a cell's Taylor order N is the smallest with
+# (tau_max r)^N / N! <= TAYLOR_TAIL * exp(-tau_max r)
+TAYLOR_TAIL = 1e-18
 
 NO_INCLUSION_FLAG = "no-inclusion"
 NO_SIGNAL_FLAG = "no-signal"
@@ -157,6 +177,64 @@ class SupportEstimate:
     fit_residual: float
 
 
+def _taylor_cells(points: np.ndarray, tau_max: float):
+    """Split ``points`` into quadtree cells of their bounding square until
+    each cell's tau_max * r is at most TAYLOR_CELL_LIMIT, r the largest
+    distance of its points from its centre c, the middle of their
+    bounding box.  Returns each point's cell, and each cell's c and r."""
+    label = np.zeros(len(points), dtype=np.int64)
+    centres, radii = [], []
+    stack = []
+    if len(points):
+        lo = points.min(axis=0)
+        stack.append((np.arange(len(points)), lo, np.max(points.max(axis=0) - lo)))
+    while stack:
+        members, corner, side = stack.pop()
+        at = points[members]
+        centre = 0.5 * (at.min(axis=0) + at.max(axis=0))
+        radius = float(np.max(np.hypot(*(at - centre).T)))
+        if tau_max * radius <= TAYLOR_CELL_LIMIT:
+            label[members] = len(radii)
+            centres.append(centre)
+            radii.append(radius)
+            continue
+        half = 0.5 * side
+        east, north = (at >= corner + half).T
+        for right, up in ((1, 1), (0, 1), (1, 0), (0, 0)):
+            quadrant = members[(east == right) & (north == up)]
+            if len(quadrant):
+                stack.append((quadrant, corner + half * np.array([right, up]), half))
+    return label, np.reshape(centres, (-1, 2)), np.array(radii)
+
+
+def _taylor_order(x: float) -> int:
+    """Smallest N with x^N / N! <= TAYLOR_TAIL * exp(-x), x >= 0."""
+    n, term = 1, x
+    while term > TAYLOR_TAIL * math.exp(-x):
+        n += 1
+        term *= x / n
+    return n
+
+
+@dataclass(frozen=True)
+class TaylorBlock:
+    """J for every probe with tau up to ``tau_max``, as a quadratic form.
+
+    Column k is P = ((z - c)/r)^n / n! on the nodes of one quadtree cell,
+    n = ``order[k]`` and c, r the ``centres`` and ``radii`` of cell
+    ``cell[k]``, and 0 on the other nodes; the first cell has no column
+    n = 0.  ``gram`` is P^H (C P + C X) for the ``contrast`` block C and X
+    the scattering correction of -C P.
+    """
+
+    tau_max: float
+    centres: np.ndarray
+    radii: np.ndarray
+    cell: np.ndarray
+    order: np.ndarray
+    gram: np.ndarray
+
+
 class IndicatorEngine:
     """Shared factorization for indicator evaluation on one mesh.
 
@@ -179,14 +257,26 @@ class IndicatorEngine:
     it.  dA is assembled once, from the triangles around the inclusion
     only, and kept as ``contrast``, its block on ``nodes``, the vertices
     of inclusion triangles: it has no entries in any other row or column.
-    Probes are evaluated on those nodes alone, and the source, the
-    scattered right-hand side and the pairing all come from that block.
-    w is solved on the interior unknowns, so every node must be an
-    interior vertex, and only its values on the nodes are needed: a
-    ``CondensedSystem`` on the nodes, factorized once, serves every
-    direction and tau.  It gets K_SS, the stiffness block on the nodes,
-    assembled over the same triangles as dA, and builds the background
-    exterior itself.  Without nodes only dA is assembled and J is 0.
+    The source, the scattered right-hand side and the pairing all come
+    from that block.  w is solved on the interior unknowns, so every node
+    must be an interior vertex, and only its values on the nodes are
+    needed: a ``CondensedSystem`` on the nodes, factorized once, serves
+    every direction and tau.  It gets K_SS, the stiffness block on the
+    nodes, assembled over the same triangles as dA, and builds the
+    background exterior itself.  Without nodes only dA is assembled and J
+    is 0.
+
+    Probes reach the nodes through one ``TaylorBlock`` per tau_max, built
+    on the first call for it (the last one is kept).  The nodes split into
+    quadtree cells of tau_max * r <= TAYLOR_CELL_LIMIT; around each cell's
+    centre c the probe is exp(tau*(conj(zeta)*c - s)) times the sum of
+    (tau*conj(zeta)*r)^n P_n, P_n = ((z - c)/r)^n / n!, n < N.  One checked
+    solve of the condensed system on -contrast @ P gives the correction X
+    of every column, and G = P^H (contrast @ P + contrast @ X).  A probe's
+    J is then v^H G v, with v its Taylor coefficients: the probe is
+    evaluated at the cell centres alone, and no solve is made per
+    direction.  J depends on the direction and the taus only, not on
+    earlier calls.
     """
 
     def __init__(self, reduced: ReducedScene, mesh: Mesh):
@@ -216,24 +306,74 @@ class IndicatorEngine:
         if len(self.nodes):
             k_near = solver.assemble(mesh.vertices, triangles, tensors[near_labels])
             self._condensed = CondensedSystem(mesh, self.nodes, k_near[self.nodes][:, self.nodes])
+        self._block = None
+
+    def _taylor_block(self, tau_max: float) -> TaylorBlock:
+        """The Taylor block for probes up to ``tau_max``, built on first
+        use; only the last one is kept.  Its columns are solved in batches
+        of at most MAX_SOLVE_BLOCK entries; ResourceLimitError if G, the
+        columns squared, exceeds it."""
+        if self._block is not None and self._block.tau_max == tau_max:
+            return self._block
+        points = self.mesh.vertices[self.nodes]
+        label, centres, radii = _taylor_cells(points, tau_max)
+        counts = np.array([_taylor_order(tau_max * r) for r in radii], dtype=np.int64)
+        first = np.cumsum(counts) - counts
+        # J does not see a constant (contrast @ 1 = 0), so the probe less
+        # its value at the first centre goes through the block: the first
+        # cell has no P_0 column.  Kept, that column's rounding would stay
+        # while J falls as (tau r)^2 for small tau.
+        cell = np.repeat(np.arange(len(counts)), counts)[1:]
+        order = (np.arange(len(cell) + 1) - np.repeat(first, counts))[1:]
+        if len(cell) ** 2 > MAX_SOLVE_BLOCK:
+            raise ResourceLimitError(
+                f"the Taylor block's {len(cell)} columns squared exceed the budget of "
+                f"{MAX_SOLVE_BLOCK} entries; lower tau_max"
+            )
+        # each node's row holds its own cell's columns alone
+        per_node = counts[label]
+        rows = np.repeat(np.arange(len(points)), per_node)
+        n = np.arange(len(rows)) - np.repeat(np.cumsum(per_node) - per_node, per_node)
+        offset = points[:, 0] - centres[label, 0] + 1j * (points[:, 1] - centres[label, 1])
+        # a cell of one node has r = 0 and only the column P_0 = 1
+        unit = offset / np.where(radii > 0.0, radii, 1.0)[label]
+        factorial = np.array([math.factorial(k) for k in range(np.max(counts, initial=0))], float)
+        basis = sp.csr_matrix(
+            (unit[rows] ** n / factorial[n], (rows, first[label][rows] + n)),
+            shape=(len(points), len(cell) + 1),
+        )[:, 1:]
+        gram = np.zeros((len(cell), len(cell)), dtype=complex)
+        if self._condensed is not None:
+            adjoint = basis.conj().T
+            step = max(1, MAX_SOLVE_BLOCK // len(points))
+            for at in range(0, len(cell), step):
+                source = (self.contrast @ basis[:, at : at + step]).toarray()
+                w = self._condensed.solve(-source)
+                # two separate products: contrast @ (basis + w) would round differently
+                gram[:, at : at + step] = adjoint @ (source + self.contrast @ w)
+        self._block = TaylorBlock(tau_max, centres, radii, cell, order, gram)
+        return self._block
 
     def pairing_differences(self, frame: DirectionFrame, taus) -> np.ndarray:
         """Complex pairing differences for the shifted probes, one per tau."""
         taus = _check_taus(self.mesh, taus)
+        block = self._taylor_block(float(taus[-1]))
         shift = self.mesh.domain.support(frame.theta)
-        points = self.mesh.vertices[self.nodes]
-        u0 = np.column_stack(
-            [Probe(frame, float(tau), shift).evaluate(points) for tau in taus]
+        # exp(tau*(x.th - s) + i*tau*x.th_perp) = exp(tau*(conj(zeta)*z - s)),
+        # z = x1 + i*x2 and zeta = th1 + i*th2: the probe at each centre c
+        # times its Taylor coefficients (tau*conj(zeta)*r)^n about c
+        at_centres = np.array(
+            [Probe(frame, float(tau), shift).evaluate(block.centres) for tau in taus]
         )
-        if self._condensed is None:
-            return np.zeros(len(taus), dtype=complex)
-        source = self.contrast @ u0
-        w = self._condensed.solve(-source)
-        # two separate products: contrast @ (u0 + w) would round differently
-        return np.einsum("vk,vk->k", np.conj(u0), source + self.contrast @ w)
+        zeta_bar = frame.theta[0] - 1j * frame.theta[1]
+        scaled = np.outer(taus, zeta_bar * block.radii[block.cell])
+        v = at_centres[:, block.cell] * scaled**block.order
+        # the other cells' P_0 coefficients, less the first centre's value
+        v[:, block.order == 0] -= at_centres[:, :1]
+        return np.einsum("tk,tk->t", np.conj(v), v @ block.gram.T)
 
     def curve(self, frame: DirectionFrame, taus) -> IndicatorCurve:
-        """Indicator curve at height t = 0; one factorization for all tau.
+        """Indicator curve at height t = 0; one block solve per tau_max.
 
         Other heights come from ``IndicatorCurve.shifted``.
         """
@@ -332,9 +472,10 @@ def sweep(
     MIN_FIT_SAMPLES in the upper half of its window, a direction count that
     is not an integer of at least 8 or a slab thickness ``delta`` that is not
     a real number > 0 raises InvalidParameterError, an underresolved grid
-    ProbeResolutionError, and vertices times taus, an upper bound on the
-    solve block, over MAX_SOLVE_BLOCK ResourceLimitError, all before any
-    factorization.
+    ProbeResolutionError, and vertices times taus over MAX_SOLVE_BLOCK
+    ResourceLimitError, all before any factorization; a Taylor block whose
+    columns squared exceed MAX_SOLVE_BLOCK raises ResourceLimitError after
+    the set-up.
     """
     try:
         n_directions = operator.index(n_directions)

@@ -236,8 +236,12 @@ def _parts(key: np.ndarray, level: np.ndarray) -> np.ndarray:
 
 def _touching(incidence: sp.csr_matrix, vertices: np.ndarray) -> np.ndarray:
     """The triangles that touch any of ``vertices``, in mesh order."""
+    starts = incidence.indptr[vertices]
+    lengths = incidence.indptr[vertices + 1] - starts
+    # each vertex's run of incidence.indices, gathered without a new matrix
+    at = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
     hit = np.zeros(incidence.shape[1], dtype=bool)
-    hit[incidence[vertices].indices] = True
+    hit[incidence.indices[at]] = True
     return np.flatnonzero(hit)
 
 

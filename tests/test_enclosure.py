@@ -57,23 +57,36 @@ def whole_mesh_contrast(mesh, reduced):
     return solver.assemble(mesh.vertices, mesh.triangles, d_a)
 
 
-def engine_and_all_vertex_reference(mesh, scene, taus):
-    """The engine's pairing differences at direction angle 0.7, and the same
-    from probes on every vertex, the whole-mesh dA and a whole-interior
-    Dirichlet solve."""
-    reduced = reduce_scene(scene)
-    frame = DirectionFrame.from_angle(0.7)
-    raw = IndicatorEngine(reduced, mesh).pairing_differences(frame, taus)
+def all_vertex_reference(mesh, reduced, frame, taus, point=None):
+    """Pairing differences from probes on every vertex, the whole-mesh dA
+    and a whole-interior Dirichlet solve.  With a ``point``, each probe
+    less its value there: J does not see a constant."""
     delta_k = whole_mesh_contrast(mesh, reduced)
     shift = mesh.domain.support(frame.theta)
     u0 = np.column_stack(
         [Probe(frame, float(tau), shift).evaluate(mesh.vertices) for tau in taus]
     )
+    if point is not None:
+        u0 -= np.array([Probe(frame, float(tau), shift).evaluate(point)[0] for tau in taus])
     source = delta_k @ u0
     system = solver.DirichletSystem(mesh, solver.reduced_field(mesh, reduced))
     w = np.zeros_like(source)
     w[system.interior] = system.solve_interior(-source[system.interior])[0]
-    return raw, np.einsum("vk,vk->k", np.conj(u0), source + delta_k @ w)
+    return np.einsum("vk,vk->k", np.conj(u0), source + delta_k @ w)
+
+
+def engine_and_all_vertex_reference(mesh, scene, taus):
+    """The engine's pairing differences at direction angle 0.7, and the
+    all-vertex reference."""
+    reduced = reduce_scene(scene)
+    frame = DirectionFrame.from_angle(0.7)
+    raw = IndicatorEngine(reduced, mesh).pairing_differences(frame, taus)
+    return raw, all_vertex_reference(mesh, reduced, frame, taus)
+
+
+def gate_taus(mesh):
+    """13 taus up to the resolution gate's tau_max."""
+    return np.linspace(0.25, 1.0, 13) * max_admissible_tau(mesh)
 
 
 class FactorProxy:
@@ -113,6 +126,30 @@ def patch_factors(monkeypatch, complex_matrix, solve_scale=1.0, roll_perm_c=Fals
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", patched)
     return proxies
+
+
+def disk_scene(*disks, omega=1.0):
+    """Disks (centre, radius, alpha, beta) with isotropic alpha and beta."""
+    return MaterialScene(
+        sigma0=1.0,
+        eps0=1.0,
+        omega=omega,
+        inclusions=tuple(
+            Inclusion(Disk(centre, radius), SymMat2.iso(alpha), SymMat2.iso(beta))
+            for centre, radius, alpha, beta in disks
+        ),
+    )
+
+
+# two disks far apart: one Taylor cell around both loses digits
+TWO_FAR_DISKS = disk_scene(((0.45, 0.3), 0.15, 1.0, 0.0), ((-0.5, -0.4), 0.12, 2.0, 0.0))
+BIG_DISK = disk_scene(((0.0, 0.0), 0.5, 1.0, 0.0))
+COMPLEX_DISK = disk_scene(((-0.2, 0.3), 0.25, -0.7, 0.5), omega=2.0)
+
+
+@pytest.fixture(scope="module")
+def fine_mesh():
+    return generate_mesh(UnitDisk(), 0.02)
 
 
 def centered_scene(contrast=1.0):
@@ -245,6 +282,112 @@ class TestIndicator:
         )
         assert np.all(np.abs(reference) > 0.0)
         assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "scene", [TWO_FAR_DISKS, BIG_DISK, COMPLEX_DISK], ids=["two-far-disks", "big-disk", "complex"]
+    )
+    def test_taylor_block_matches_all_vertex_formula_at_the_gate(self, fine_mesh, scene):
+        taus = gate_taus(fine_mesh)
+        reduced = reduce_scene(scene)
+        engine = IndicatorEngine(reduced, fine_mesh)
+        for angle in (0.7, 2.5, 4.4):
+            frame = DirectionFrame.from_angle(angle)
+            raw = engine.pairing_differences(frame, taus)
+            reference = all_vertex_reference(fine_mesh, reduced, frame, taus)
+            assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
+        label, _, radii = enclosure._taylor_cells(fine_mesh.vertices[engine.nodes], taus[-1])
+        assert np.all(taus[-1] * radii <= enclosure.TAYLOR_CELL_LIMIT)
+        if scene is BIG_DISK:
+            assert len(radii) > 1
+        if scene is TWO_FAR_DISKS:
+            # no cell holds nodes of both disks
+            east = fine_mesh.vertices[engine.nodes, 0] > 0.0
+            assert all(len(set(east[label == c])) == 1 for c in range(len(radii)))
+
+    def test_one_cell_around_two_far_disks_loses_digits(self, fine_mesh, monkeypatch):
+        # why the cells split: with one centre for both disks (tau_max * r
+        # about 13) a direction across the line through them loses digits
+        monkeypatch.setattr(enclosure, "TAYLOR_CELL_LIMIT", math.inf)
+        taus = gate_taus(fine_mesh)
+        reduced = reduce_scene(TWO_FAR_DISKS)
+        frame = DirectionFrame.from_angle(2.2)
+        raw = IndicatorEngine(reduced, fine_mesh).pairing_differences(frame, taus)
+        reference = all_vertex_reference(fine_mesh, reduced, frame, taus)
+        assert np.max(np.abs(raw - reference) / np.abs(reference)) > 1e-10
+
+    def test_taylor_cell_of_one_node(self, coarse_mesh):
+        # a quadrant that clips one node of the third disk: its cell has
+        # r = 0 and the column P_0 alone
+        scene = disk_scene(
+            ((-0.4717, -0.3757), 0.2111, 1.0, 0.0),
+            ((0.1472, 0.1154), 0.1336, 1.0, 0.0),
+            ((0.4972, 0.4808), 0.2151, 1.0, 0.0),
+        )
+        taus = gate_taus(coarse_mesh)
+        reduced = reduce_scene(scene)
+        engine = IndicatorEngine(reduced, coarse_mesh)
+        frame = DirectionFrame.from_angle(0.7)
+        raw = engine.pairing_differences(frame, taus)
+        assert np.min(engine._taylor_block(taus[-1]).radii) == 0.0
+        reference = all_vertex_reference(coarse_mesh, reduced, frame, taus)
+        assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
+
+    def test_small_tau_keeps_full_precision(self, coarse_mesh):
+        # J falls as (tau r)^2 while a probe stays near its constant part,
+        # which the block leaves out.  The all-vertex reference sums the
+        # constant's rounding into dA @ u0 and is 2e-10 off at tau = 0.01;
+        # less its value at a point it is not.
+        taus = np.geomspace(0.01, 1.0, 9)
+        reduced = reduce_scene(centered_scene())
+        frame = DirectionFrame.from_angle(0.7)
+        raw = IndicatorEngine(reduced, coarse_mesh).pairing_differences(frame, taus)
+        reference = all_vertex_reference(coarse_mesh, reduced, frame, taus, point=(0.3, 0.0))
+        assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
+
+    def test_sweep_solves_once_per_tau_grid(self, coarse_mesh, monkeypatch):
+        proxies = patch_factors(monkeypatch, True)
+        sweep(centered_scene(), coarse_mesh, 16, COARSE_TAUS)
+        # one block solve for all 16 directions, two if it refines
+        assert len(proxies) == 1 and proxies[0].solves in (1, 2)
+
+    def test_block_is_built_once_per_tau_max(self, coarse_mesh, monkeypatch):
+        proxies = patch_factors(monkeypatch, True)
+        engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
+        solves = []
+        for angle, taus in ((0.0, COARSE_TAUS), (1.0, COARSE_TAUS[3:]), (2.0, COARSE_TAUS[:-1])):
+            engine.curve(DirectionFrame.from_angle(angle), taus)
+            solves.append(proxies[0].solves)
+        assert solves[0] in (1, 2) and solves[1] == solves[0]
+        assert solves[2] - solves[1] in (1, 2)
+
+    def test_j_does_not_depend_on_earlier_calls(self, coarse_mesh):
+        reduced = reduce_scene(centered_scene())
+        frame = DirectionFrame.from_angle(0.7)
+        fresh = IndicatorEngine(reduced, coarse_mesh).pairing_differences(frame, COARSE_TAUS)
+        engine = IndicatorEngine(reduced, coarse_mesh)
+        engine.pairing_differences(E1, COARSE_TAUS[:-2])  # another tau_max first
+        assert np.array_equal(engine.pairing_differences(frame, COARSE_TAUS), fresh)
+        engine.pairing_differences(E1, COARSE_TAUS[:-1])
+        assert np.array_equal(engine.pairing_differences(frame, COARSE_TAUS), fresh)
+
+    def test_taylor_block_is_solved_in_batches_within_budget(self, coarse_mesh, monkeypatch):
+        proxies = patch_factors(monkeypatch, True)
+        engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
+        whole = engine.pairing_differences(E1, COARSE_TAUS)
+        columns = len(engine._taylor_block(COARSE_TAUS[-1]).cell)
+        # batches of 5 columns
+        monkeypatch.setattr(enclosure, "MAX_SOLVE_BLOCK", 5 * len(engine.nodes) + 4)
+        engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
+        assert np.array_equal(engine.pairing_differences(E1, COARSE_TAUS), whole)
+        assert proxies[1].solves == math.ceil(columns / 5)
+
+    def test_taylor_block_over_budget_raises_before_solving(self, coarse_mesh, monkeypatch):
+        proxies = patch_factors(monkeypatch, True)
+        engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
+        monkeypatch.setattr(enclosure, "MAX_SOLVE_BLOCK", 100)
+        with pytest.raises(ResourceLimitError, match="Taylor block"):
+            engine.pairing_differences(E1, COARSE_TAUS)
+        assert proxies[0].solves == 0
 
     def test_empty_scene_factors_nothing(self, coarse_mesh, monkeypatch):
         def no_factorization(*args, **kwargs):

@@ -15,6 +15,7 @@ from enclosure_kit.solver import (
     DirichletSystem,
     assemble,
     _quadtree,
+    _touching,
     difference_pairing,
     dtn_pairing,
     identity_field,
@@ -360,6 +361,21 @@ class TestDissectionOrder:
         assert np.array_equal(np.sort(order), np.arange(len(points)))
         graph.eliminate_zeros()
         assert not np.array_equal(order, dissection_order(points, graph))
+
+
+class TestTouching:
+    @pytest.mark.parametrize("size", [0, 1, 7, 300])
+    def test_matches_the_triangles_holding_a_vertex(self, size):
+        # the vertex-by-triangle incidence the condensed system builds
+        mesh = generate_mesh(UnitDisk(), 0.1)
+        triangles = mesh.triangles
+        incidence = sp.csr_matrix(
+            (np.ones(triangles.size, dtype=bool), (triangles.ravel(), np.arange(triangles.size) // 3)),
+            shape=(mesh.num_vertices, len(triangles)),
+        )
+        vertices = np.random.default_rng(size).permutation(mesh.num_vertices)[:size]
+        expected = np.flatnonzero(np.any(np.isin(triangles, vertices), axis=1))
+        assert np.array_equal(_touching(incidence, vertices), expected)
 
 
 class TestDtnPairing:
