@@ -53,15 +53,18 @@ MIN_FIT_SAMPLES = 4
 # largest solve block: 8M complex entries are 128 MB, and a solve holds a
 # few arrays of that size at once.  The Taylor block's columns are solved
 # in batches of inclusion nodes x columns within it, and its G, columns
-# squared, must fit.  ``sweep`` still refuses vertices x taus over it
-# before any factorization, though the tau count no longer sets the block
+# squared, must fit.  ``sweep`` checks both G and vertices x taus against
+# it before any factorization, though the tau count no longer sets the block
 MAX_SOLVE_BLOCK = 8_000_000
 
-# largest tau_max * r of a Taylor cell, r the radius of its nodes about
-# its centre.  Against the per-direction solve, quarter cells of a disk of
-# radius 0.5 at h = 0.01 gave J to 6.4e-14 at tau_max * r = 5, 3.4e-13 at
-# 6 and 1.8e-12 at 8; no case limited to 5 was worse than 8.8e-14
-TAYLOR_CELL_LIMIT = 5.0
+# largest tau_max * (r - d) of a Taylor cell: r - d is how far the disk of
+# radius r about the cell's centre c leaves the hull of all the nodes, d
+# the signed distance from c to the hull's boundary.  The probe's terms
+# about c reach exp(tau*(c.theta + r)) while J scales as exp(2*tau*h), h
+# the hull's support, so J loses about exp(2*tau_max*(r - d)) times the
+# rounding.  Against the per-direction solve at the gate, 32 directions:
+# 5.2e-14 at 2.9, 5.4e-13 at 4.3 and 1.9e-12 at 4.9 (h = 0.02)
+TAYLOR_EXCESS_LIMIT = 3.0
 # a cell's Taylor order N is the smallest with
 # (tau_max r)^N / N! <= TAYLOR_TAIL * exp(-tau_max r)
 TAYLOR_TAIL = 1e-18
@@ -177,34 +180,89 @@ class SupportEstimate:
     fit_residual: float
 
 
+def _hull(points: np.ndarray) -> np.ndarray:
+    """Corners of the convex hull of ``points``, counter-clockwise (Andrew's
+    monotone chain).  Not scipy.spatial: importing it costs about 7 MiB of
+    resident memory."""
+    # a point strictly inside the polygon of the extremes in 8 directions
+    # is no corner; dropping those first leaves the loop a thin ring
+    angles = np.pi / 4 * np.arange(8)
+    picks = np.argmax(points @ np.array([np.cos(angles), np.sin(angles)]), axis=0)
+    ring = points[picks[np.r_[True, picks[1:] != picks[:-1]]]]
+    edge = np.roll(ring, -1, axis=0) - ring
+    rel = points[:, None, :] - ring
+    inside = np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] > 0.0, axis=1)
+    points = points[~inside]
+    ordered = points[np.lexsort((points[:, 1], points[:, 0]))].tolist()
+    corners = []
+    for run in (ordered, ordered[::-1]):
+        chain = []
+        for x, y in run:
+            while len(chain) > 1 and (
+                (chain[-1][0] - chain[-2][0]) * (y - chain[-2][1])
+                <= (chain[-1][1] - chain[-2][1]) * (x - chain[-2][0])
+            ):
+                chain.pop()
+            chain.append((x, y))
+        corners += chain[:-1]
+    return np.array(corners)
+
+
+def _depth(point: np.ndarray, corners: np.ndarray) -> float:
+    """Signed distance from ``point`` to the boundary of the convex polygon
+    with counter-clockwise ``corners``, > 0 inside."""
+    edge = np.roll(corners, -1, axis=0) - corners
+    rel = point - corners
+    along = np.clip(np.sum(rel * edge, axis=1) / np.sum(edge**2, axis=1), 0.0, 1.0)
+    distance = float(np.min(np.hypot(*(rel - along[:, None] * edge).T)))
+    inside = np.all(edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0] >= 0.0)
+    return distance if inside else -distance
+
+
 def _taylor_cells(points: np.ndarray, tau_max: float):
-    """Split ``points`` into quadtree cells of their bounding square until
-    each cell's tau_max * r is at most TAYLOR_CELL_LIMIT, r the largest
-    distance of its points from its centre c, the middle of their
-    bounding box.  Returns each point's cell, and each cell's c and r."""
+    """Split ``points`` in two across the longer side of their bounding box
+    until each cell's tau_max * (r - d) is at most TAYLOR_EXCESS_LIMIT: c is
+    the middle of the cell's bounding box, r the largest distance of its
+    points from c and d the signed distance from c to the boundary of the
+    convex hull of all the points.  A round inclusion stays one cell.
+    Returns each point's cell, and each cell's c and r."""
     label = np.zeros(len(points), dtype=np.int64)
+    if not len(points):
+        return label, np.zeros((0, 2)), np.zeros(0)
+    corners = _hull(points)
     centres, radii = [], []
-    stack = []
-    if len(points):
-        lo = points.min(axis=0)
-        stack.append((np.arange(len(points)), lo, np.max(points.max(axis=0) - lo)))
+    stack = [np.arange(len(points))]
     while stack:
-        members, corner, side = stack.pop()
+        members = stack.pop()
         at = points[members]
-        centre = 0.5 * (at.min(axis=0) + at.max(axis=0))
+        lo, hi = at.min(axis=0), at.max(axis=0)
+        centre = 0.5 * (lo + hi)
         radius = float(np.max(np.hypot(*(at - centre).T)))
-        if tau_max * radius <= TAYLOR_CELL_LIMIT:
+        if tau_max * (radius - _depth(centre, corners)) <= TAYLOR_EXCESS_LIMIT:
             label[members] = len(radii)
             centres.append(centre)
             radii.append(radius)
             continue
-        half = 0.5 * side
-        east, north = (at >= corner + half).T
-        for right, up in ((1, 1), (0, 1), (1, 0), (0, 0)):
-            quadrant = members[(east == right) & (north == up)]
-            if len(quadrant):
-                stack.append((quadrant, corner + half * np.array([right, up]), half))
-    return label, np.reshape(centres, (-1, 2)), np.array(radii)
+        axis = int(np.argmax(hi - lo))
+        upper = at[:, axis] >= centre[axis]
+        stack.extend([members[~upper], members[upper]])
+    return label, np.array(centres), np.array(radii)
+
+
+def _taylor_columns(points: np.ndarray, tau_max: float):
+    """The Taylor cells of ``points`` and each cell's order N; raises
+    ResourceLimitError if the block's G, its columns squared, exceeds
+    MAX_SOLVE_BLOCK."""
+    label, centres, radii = _taylor_cells(points, tau_max)
+    counts = np.array([_taylor_order(tau_max * r) for r in radii], dtype=np.int64)
+    # the first cell has no column P_0
+    columns = max(int(np.sum(counts)) - 1, 0)
+    if columns**2 > MAX_SOLVE_BLOCK:
+        raise ResourceLimitError(
+            f"the Taylor block's {columns} columns squared exceed the budget of "
+            f"{MAX_SOLVE_BLOCK} entries; lower tau_max"
+        )
+    return label, centres, radii, counts
 
 
 def _taylor_order(x: float) -> int:
@@ -220,7 +278,7 @@ def _taylor_order(x: float) -> int:
 class TaylorBlock:
     """J for every probe with tau up to ``tau_max``, as a quadratic form.
 
-    Column k is P = ((z - c)/r)^n / n! on the nodes of one quadtree cell,
+    Column k is P = ((z - c)/r)^n on the nodes of one quadtree cell,
     n = ``order[k]`` and c, r the ``centres`` and ``radii`` of cell
     ``cell[k]``, and 0 on the other nodes; the first cell has no column
     n = 0.  ``gram`` is P^H (C P + C X) for the ``contrast`` block C and X
@@ -268,18 +326,21 @@ class IndicatorEngine:
 
     Probes reach the nodes through one ``TaylorBlock`` per tau_max, built
     on the first call for it (the last one is kept).  The nodes split into
-    quadtree cells of tau_max * r <= TAYLOR_CELL_LIMIT; around each cell's
-    centre c the probe is exp(tau*(conj(zeta)*c - s)) times the sum of
-    (tau*conj(zeta)*r)^n P_n, P_n = ((z - c)/r)^n / n!, n < N.  One checked
+    cells whose disk about the centre c, of radius r, leaves the nodes'
+    convex hull by at most TAYLOR_EXCESS_LIMIT / tau_max, so a round
+    inclusion stays one cell.  Around c the probe is
+    exp(tau*(conj(zeta)*c - s)) times the sum of
+    (tau*conj(zeta)*r)^n / n! P_n, P_n = ((z - c)/r)^n, n < N.  One checked
     solve of the condensed system on -contrast @ P gives the correction X
     of every column, and G = P^H (contrast @ P + contrast @ X).  A probe's
     J is then v^H G v, with v its Taylor coefficients: the probe is
     evaluated at the cell centres alone, and no solve is made per
     direction.  J depends on the direction and the taus only, not on
-    earlier calls.
+    earlier calls.  Given ``tau_max``, the engine checks that block's size
+    against MAX_SOLVE_BLOCK before it factorizes anything.
     """
 
-    def __init__(self, reduced: ReducedScene, mesh: Mesh):
+    def __init__(self, reduced: ReducedScene, mesh: Mesh, tau_max: float | None = None):
         self.mesh = mesh
         labels = solver.inclusion_labels(mesh, [inc.shape for inc in reduced.inclusions])
         d_a = solver.contrast_tensors(reduced)
@@ -302,6 +363,9 @@ class IndicatorEngine:
                 "an inclusion reaches the domain boundary on this mesh; "
                 "the method needs its closure inside the domain"
             )
+        if tau_max is not None:
+            # the Taylor block's budget, before any factorization
+            _taylor_columns(mesh.vertices[self.nodes], tau_max)
         self._condensed = None
         if len(self.nodes):
             k_near = solver.assemble(mesh.vertices, triangles, tensors[near_labels])
@@ -316,41 +380,38 @@ class IndicatorEngine:
         if self._block is not None and self._block.tau_max == tau_max:
             return self._block
         points = self.mesh.vertices[self.nodes]
-        label, centres, radii = _taylor_cells(points, tau_max)
-        counts = np.array([_taylor_order(tau_max * r) for r in radii], dtype=np.int64)
-        first = np.cumsum(counts) - counts
+        label, centres, radii, counts = _taylor_columns(points, tau_max)
         # J does not see a constant (contrast @ 1 = 0), so the probe less
         # its value at the first centre goes through the block: the first
         # cell has no P_0 column.  Kept, that column's rounding would stay
         # while J falls as (tau r)^2 for small tau.
         cell = np.repeat(np.arange(len(counts)), counts)[1:]
-        order = (np.arange(len(cell) + 1) - np.repeat(first, counts))[1:]
-        if len(cell) ** 2 > MAX_SOLVE_BLOCK:
-            raise ResourceLimitError(
-                f"the Taylor block's {len(cell)} columns squared exceed the budget of "
-                f"{MAX_SOLVE_BLOCK} entries; lower tau_max"
-            )
-        # each node's row holds its own cell's columns alone
-        per_node = counts[label]
-        rows = np.repeat(np.arange(len(points)), per_node)
-        n = np.arange(len(rows)) - np.repeat(np.cumsum(per_node) - per_node, per_node)
-        offset = points[:, 0] - centres[label, 0] + 1j * (points[:, 1] - centres[label, 1])
-        # a cell of one node has r = 0 and only the column P_0 = 1
-        unit = offset / np.where(radii > 0.0, radii, 1.0)[label]
-        factorial = np.array([math.factorial(k) for k in range(np.max(counts, initial=0))], float)
-        basis = sp.csr_matrix(
-            (unit[rows] ** n / factorial[n], (rows, first[label][rows] + n)),
-            shape=(len(points), len(cell) + 1),
-        )[:, 1:]
+        order = (np.arange(len(cell) + 1) - np.repeat(np.cumsum(counts) - counts, counts))[1:]
         gram = np.zeros((len(cell), len(cell)), dtype=complex)
         if self._condensed is not None:
-            adjoint = basis.conj().T
+            # each cell's nodes hold its own columns alone, one dense piece
+            # per cell; a cell of one node has r = 0 and only P_0 = 1
+            members = [np.flatnonzero(label == c) for c in range(len(counts))]
+            columns = [np.flatnonzero(cell == c) for c in range(len(counts))]
+            pieces = []
+            for rows, cols, centre, radius in zip(members, columns, centres, radii):
+                offset = points[rows] - centre
+                powers = np.ones((len(rows), np.max(order[cols], initial=0) + 1), dtype=complex)
+                powers[:, 1:] = (offset[:, :1] + 1j * offset[:, 1:]) / (radius if radius > 0.0 else 1.0)
+                # u^n as a running product: numpy's u**n goes through exp(n log u) from n = 100
+                pieces.append(np.cumprod(powers, axis=1)[:, order[cols]])
+            node_of = np.concatenate([np.repeat(r, len(c)) for r, c in zip(members, columns)])
+            column_of = np.concatenate([np.tile(c, len(r)) for r, c in zip(members, columns)])
+            values = np.concatenate([piece.ravel() for piece in pieces])
+            basis = sp.csr_matrix((values, (node_of, column_of)), shape=(len(points), len(cell)))
             step = max(1, MAX_SOLVE_BLOCK // len(points))
             for at in range(0, len(cell), step):
                 source = (self.contrast @ basis[:, at : at + step]).toarray()
                 w = self._condensed.solve(-source)
                 # two separate products: contrast @ (basis + w) would round differently
-                gram[:, at : at + step] = adjoint @ (source + self.contrast @ w)
+                scattered = source + self.contrast @ w
+                for rows, c, piece in zip(members, columns, pieces):
+                    gram[c, at : at + step] = piece.conj().T @ scattered[rows]
         self._block = TaylorBlock(tau_max, centres, radii, cell, order, gram)
         return self._block
 
@@ -361,13 +422,17 @@ class IndicatorEngine:
         shift = self.mesh.domain.support(frame.theta)
         # exp(tau*(x.th - s) + i*tau*x.th_perp) = exp(tau*(conj(zeta)*z - s)),
         # z = x1 + i*x2 and zeta = th1 + i*th2: the probe at each centre c
-        # times its Taylor coefficients (tau*conj(zeta)*r)^n about c
+        # times its Taylor coefficients (tau*conj(zeta)*r)^n / n! about c
         at_centres = np.array(
             [Probe(frame, float(tau), shift).evaluate(block.centres) for tau in taus]
         )
         zeta_bar = frame.theta[0] - 1j * frame.theta[1]
-        scaled = np.outer(taus, zeta_bar * block.radii[block.cell])
-        v = at_centres[:, block.cell] * scaled**block.order
+        scaled = np.outer(taus, zeta_bar * block.radii)
+        # (tau*conj(zeta)*r)^n / n! as a running product, which neither
+        # overflows nor underflows where N passes 170
+        ratios = scaled[:, :, None] / np.arange(1.0, 1 + np.max(block.order, initial=0))
+        powers = np.cumprod(np.concatenate([np.ones_like(scaled)[:, :, None], ratios], 2), 2)
+        v = at_centres[:, block.cell] * powers[:, block.cell, block.order]
         # the other cells' P_0 coefficients, less the first centre's value
         v[:, block.order == 0] -= at_centres[:, :1]
         return np.einsum("tk,tk->t", np.conj(v), v @ block.gram.T)
@@ -472,10 +537,9 @@ def sweep(
     MIN_FIT_SAMPLES in the upper half of its window, a direction count that
     is not an integer of at least 8 or a slab thickness ``delta`` that is not
     a real number > 0 raises InvalidParameterError, an underresolved grid
-    ProbeResolutionError, and vertices times taus over MAX_SOLVE_BLOCK
-    ResourceLimitError, all before any factorization; a Taylor block whose
-    columns squared exceed MAX_SOLVE_BLOCK raises ResourceLimitError after
-    the set-up.
+    ProbeResolutionError, and vertices times taus or the Taylor block's
+    columns squared over MAX_SOLVE_BLOCK ResourceLimitError, all before any
+    factorization.
     """
     try:
         n_directions = operator.index(n_directions)
@@ -499,7 +563,7 @@ def sweep(
         )
     frames = geometry.uniform_directions(n_directions)
     reduced = materials.reduce_scene(scene)
-    engine = IndicatorEngine(reduced, mesh)
+    engine = IndicatorEngine(reduced, mesh, tau_max=float(taus[-1]))
     results = []
     for frame in frames:
         curve = engine.curve(frame, taus)

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.spatial import ConvexHull
 
 from enclosure_kit import cli, enclosure, solver
 from enclosure_kit.enclosure import (
@@ -25,6 +26,7 @@ from enclosure_kit.errors import (
     SolveError,
 )
 from enclosure_kit.geometry import (
+    ConvexPolygon,
     DirectionFrame,
     Disk,
     Rectangle,
@@ -145,6 +147,27 @@ def disk_scene(*disks, omega=1.0):
 TWO_FAR_DISKS = disk_scene(((0.45, 0.3), 0.15, 1.0, 0.0), ((-0.5, -0.4), 0.12, 2.0, 0.0))
 BIG_DISK = disk_scene(((0.0, 0.0), 0.5, 1.0, 0.0))
 COMPLEX_DISK = disk_scene(((-0.2, 0.3), 0.25, -0.7, 0.5), omega=2.0)
+# its corners split the nodes into several Taylor cells
+TRIANGLE = MaterialScene(
+    sigma0=1.0,
+    eps0=1.0,
+    omega=1.0,
+    inclusions=(
+        Inclusion(
+            ConvexPolygon(((-0.5, -0.4), (0.6, -0.3), (-0.2, 0.6))),
+            SymMat2.iso(1.0),
+            SymMat2.zero(),
+        ),
+    ),
+)
+
+
+def taylor_excess(points, tau_max):
+    """Each Taylor cell's r - d for ``points`` at ``tau_max``, and the cells."""
+    label, centres, radii = enclosure._taylor_cells(points, tau_max)
+    corners = enclosure._hull(points)
+    excess = np.array([r - enclosure._depth(c, corners) for c, r in zip(centres, radii)])
+    return excess, label
 
 
 @pytest.fixture(scope="module")
@@ -284,9 +307,11 @@ class TestIndicator:
         assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "scene", [TWO_FAR_DISKS, BIG_DISK, COMPLEX_DISK], ids=["two-far-disks", "big-disk", "complex"]
+        "scene, cells",
+        [(TWO_FAR_DISKS, 2), (BIG_DISK, 1), (COMPLEX_DISK, 1), (TRIANGLE, None)],
+        ids=["two-far-disks", "big-disk", "complex", "triangle"],
     )
-    def test_taylor_block_matches_all_vertex_formula_at_the_gate(self, fine_mesh, scene):
+    def test_taylor_block_matches_all_vertex_formula_at_the_gate(self, fine_mesh, scene, cells):
         taus = gate_taus(fine_mesh)
         reduced = reduce_scene(scene)
         engine = IndicatorEngine(reduced, fine_mesh)
@@ -295,36 +320,47 @@ class TestIndicator:
             raw = engine.pairing_differences(frame, taus)
             reference = all_vertex_reference(fine_mesh, reduced, frame, taus)
             assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
-        label, _, radii = enclosure._taylor_cells(fine_mesh.vertices[engine.nodes], taus[-1])
-        assert np.all(taus[-1] * radii <= enclosure.TAYLOR_CELL_LIMIT)
-        if scene is BIG_DISK:
-            assert len(radii) > 1
+        excess, label = taylor_excess(fine_mesh.vertices[engine.nodes], taus[-1])
+        assert np.all(taus[-1] * excess <= enclosure.TAYLOR_EXCESS_LIMIT)
+        # a round inclusion stays one cell; the triangle's corners split
+        assert len(excess) == cells if cells else len(excess) > 1
         if scene is TWO_FAR_DISKS:
             # no cell holds nodes of both disks
             east = fine_mesh.vertices[engine.nodes, 0] > 0.0
-            assert all(len(set(east[label == c])) == 1 for c in range(len(radii)))
+            assert all(len(set(east[label == c])) == 1 for c in range(len(excess)))
 
-    def test_one_cell_around_two_far_disks_loses_digits(self, fine_mesh, monkeypatch):
-        # why the cells split: with one centre for both disks (tau_max * r
-        # about 13) a direction across the line through them loses digits
-        monkeypatch.setattr(enclosure, "TAYLOR_CELL_LIMIT", math.inf)
-        taus = gate_taus(fine_mesh)
-        reduced = reduce_scene(TWO_FAR_DISKS)
-        frame = DirectionFrame.from_angle(2.2)
-        raw = IndicatorEngine(reduced, fine_mesh).pairing_differences(frame, taus)
-        reference = all_vertex_reference(fine_mesh, reduced, frame, taus)
-        assert np.max(np.abs(raw - reference) / np.abs(reference)) > 1e-10
+    @pytest.mark.parametrize("size", [3, 40, 2000])
+    def test_hull_matches_qhull(self, size):
+        points = np.random.default_rng(size).normal(size=(size, 2))
+        corners = enclosure._hull(points)
+        expected = points[ConvexHull(points).vertices]
+        # the same corners, counter-clockwise from the same start
+        start = np.flatnonzero((expected == corners[0]).all(axis=1))[0]
+        assert np.array_equal(corners, np.roll(expected, -start, axis=0))
 
-    def test_taylor_cell_of_one_node(self, coarse_mesh):
-        # a quadrant that clips one node of the third disk: its cell has
-        # r = 0 and the column P_0 alone
-        scene = disk_scene(
-            ((-0.4717, -0.3757), 0.2111, 1.0, 0.0),
-            ((0.1472, 0.1154), 0.1336, 1.0, 0.0),
-            ((0.4972, 0.4808), 0.2151, 1.0, 0.0),
+    def test_big_disk_stays_one_cell_within_budget_at_a_fine_gate(self):
+        # at h = 0.005 the gate's tau_max is about 69 and this disk's
+        # tau_max * r about 35; cells split by tau_max * r would number
+        # hundreds, and their columns squared pass MAX_SOLVE_BLOCK
+        mesh = generate_mesh(UnitDisk(), 0.005)
+        inside = BIG_DISK.inclusions[0].shape.contains_mask(mesh.vertices)
+        _, _, radii, counts = enclosure._taylor_columns(
+            mesh.vertices[inside], max_admissible_tau(mesh)
         )
+        assert len(radii) == 1 and np.sum(counts) ** 2 <= enclosure.MAX_SOLVE_BLOCK
+
+    def test_taylor_cell_of_one_node(self, coarse_mesh, monkeypatch):
+        # a cell of one node has r = 0 and the column P_0 alone
+        cells = enclosure._taylor_cells
+
+        def first_node_apart(points, tau_max):
+            label, centres, radii = cells(points, tau_max)
+            label[0] = len(radii)
+            return label, np.vstack([centres, points[:1]]), np.append(radii, 0.0)
+
+        monkeypatch.setattr(enclosure, "_taylor_cells", first_node_apart)
         taus = gate_taus(coarse_mesh)
-        reduced = reduce_scene(scene)
+        reduced = reduce_scene(TWO_FAR_DISKS)
         engine = IndicatorEngine(reduced, coarse_mesh)
         frame = DirectionFrame.from_angle(0.7)
         raw = engine.pairing_differences(frame, taus)
@@ -378,8 +414,22 @@ class TestIndicator:
         # batches of 5 columns
         monkeypatch.setattr(enclosure, "MAX_SOLVE_BLOCK", 5 * len(engine.nodes) + 4)
         engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
-        assert np.array_equal(engine.pairing_differences(E1, COARSE_TAUS), whole)
+        # G's rows are BLAS products, whose rounding follows the batch width
+        batched = engine.pairing_differences(E1, COARSE_TAUS)
+        assert np.max(np.abs(batched - whole) / np.abs(whole)) <= 1e-14
         assert proxies[1].solves == math.ceil(columns / 5)
+
+    def test_sweep_refuses_a_taylor_block_over_budget_before_factorizing(
+        self, coarse_mesh, monkeypatch
+    ):
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factorized before the Taylor block's budget check")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
+        # vertices x taus stays within the budget
+        monkeypatch.setattr(enclosure, "_taylor_order", lambda x: 5000)
+        with pytest.raises(ResourceLimitError, match="Taylor block"):
+            sweep(centered_scene(), coarse_mesh, 16, COARSE_TAUS)
 
     def test_taylor_block_over_budget_raises_before_solving(self, coarse_mesh, monkeypatch):
         proxies = patch_factors(monkeypatch, True)
