@@ -62,8 +62,8 @@ MAX_SOLVE_BLOCK = 8_000_000
 # the signed distance from c to the hull's boundary.  The probe's terms
 # about c reach exp(tau*(c.theta + r)) while J scales as exp(2*tau*h), h
 # the hull's support, so J loses about exp(2*tau_max*(r - d)) times the
-# rounding.  Against the per-direction solve at the gate, 32 directions:
-# 5.2e-14 at 2.9, 5.4e-13 at 4.3 and 1.9e-12 at 4.9 (h = 0.02)
+# rounding.  Against the per-direction solve at the gate, 32 directions,
+# h = 0.02: 2.0e-14 at 3.0, 1.7e-13 at 4.3, 4.9e-13 at 4.9, 1.6e-11 at 7.8
 TAYLOR_EXCESS_LIMIT = 3.0
 # a cell's Taylor order N is the smallest with
 # (tau_max r)^N / N! <= TAYLOR_TAIL * exp(-tau_max r)
@@ -278,7 +278,7 @@ def _taylor_order(x: float) -> int:
 class TaylorBlock:
     """J for every probe with tau up to ``tau_max``, as a quadratic form.
 
-    Column k is P = ((z - c)/r)^n on the nodes of one quadtree cell,
+    Column k is P = ((z - c)/r)^n on the nodes of one cell,
     n = ``order[k]`` and c, r the ``centres`` and ``radii`` of cell
     ``cell[k]``, and 0 on the other nodes; the first cell has no column
     n = 0.  ``gram`` is P^H (C P + C X) for the ``contrast`` block C and X
@@ -396,9 +396,11 @@ class IndicatorEngine:
             pieces = []
             for rows, cols, centre, radius in zip(members, columns, centres, radii):
                 offset = points[rows] - centre
+                unit = (offset[:, :1] + 1j * offset[:, 1:]) / (radius if radius > 0.0 else 1.0)
                 powers = np.ones((len(rows), np.max(order[cols], initial=0) + 1), dtype=complex)
-                powers[:, 1:] = (offset[:, :1] + 1j * offset[:, 1:]) / (radius if radius > 0.0 else 1.0)
-                # u^n as a running product: numpy's u**n goes through exp(n log u) from n = 100
+                powers[:, 1:] = unit
+                # u^n as a running product: numpy's u**n goes through
+                # exp(n log u) from n = 100
                 pieces.append(np.cumprod(powers, axis=1)[:, order[cols]])
             node_of = np.concatenate([np.repeat(r, len(c)) for r, c in zip(members, columns)])
             column_of = np.concatenate([np.tile(c, len(r)) for r, c in zip(members, columns)])
