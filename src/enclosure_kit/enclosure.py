@@ -50,11 +50,10 @@ RESOLUTION_GATE = 0.5
 UNDERFLOW_FLOOR = 1e-300
 # fewest samples in the upper half of the tau window that the fit accepts
 MIN_FIT_SAMPLES = 4
-# largest solve block: 8M complex entries are 128 MB, and a solve holds a
-# few arrays of that size at once.  The Taylor block's columns are solved
-# in batches of inclusion nodes x columns within it, and its G, columns
-# squared, must fit.  ``sweep`` checks both G and vertices x taus against
-# it before any factorization, though the tau count no longer sets the block
+# largest array of the probe phase: 8M complex entries are 128 MB, and a
+# solve holds a few of them at once.  The Taylor block's G, columns squared,
+# and a sweep's curve samples, directions x taus, must fit; the block's
+# columns are solved, and the probes' coefficients formed, in pieces within it
 MAX_SOLVE_BLOCK = 8_000_000
 
 # largest tau_max * (r - d) of a Taylor cell: r - d is how far the disk of
@@ -225,44 +224,39 @@ def _taylor_cells(points: np.ndarray, tau_max: float):
     the middle of the cell's bounding box, r the largest distance of its
     points from c and d the signed distance from c to the boundary of the
     convex hull of all the points.  A round inclusion stays one cell.
-    Returns each point's cell, and each cell's c and r."""
-    label = np.zeros(len(points), dtype=np.int64)
-    if not len(points):
-        return label, np.zeros((0, 2)), np.zeros(0)
-    corners = _hull(points)
-    centres, radii = [], []
-    stack = [np.arange(len(points))]
+    Returns each cell's points, c and r, and each column's cell and order n
+    (``TaylorBlock``); ResourceLimitError if G, the columns squared, exceeds
+    MAX_SOLVE_BLOCK."""
+    members, centres, radii = [], [], []
+    stack = [np.arange(len(points))] if len(points) else []
+    corners = _hull(points) if len(points) else None
     while stack:
-        members = stack.pop()
-        at = points[members]
+        rows = stack.pop()
+        at = points[rows]
         lo, hi = at.min(axis=0), at.max(axis=0)
         centre = 0.5 * (lo + hi)
         radius = float(np.max(np.hypot(*(at - centre).T)))
         if tau_max * (radius - _depth(centre, corners)) <= TAYLOR_EXCESS_LIMIT:
-            label[members] = len(radii)
+            members.append(rows)
             centres.append(centre)
             radii.append(radius)
             continue
         axis = int(np.argmax(hi - lo))
         upper = at[:, axis] >= centre[axis]
-        stack.extend([members[~upper], members[upper]])
-    return label, np.array(centres), np.array(radii)
-
-
-def _taylor_columns(points: np.ndarray, tau_max: float):
-    """The Taylor cells of ``points`` and each cell's order N; raises
-    ResourceLimitError if the block's G, its columns squared, exceeds
-    MAX_SOLVE_BLOCK."""
-    label, centres, radii = _taylor_cells(points, tau_max)
+        stack.extend([rows[~upper], rows[upper]])
     counts = np.array([_taylor_order(tau_max * r) for r in radii], dtype=np.int64)
-    # the first cell has no column P_0
-    columns = max(int(np.sum(counts)) - 1, 0)
-    if columns**2 > MAX_SOLVE_BLOCK:
+    # J does not see a constant (contrast @ 1 = 0), so the probe less its
+    # value at the first centre goes through the block: the first cell has
+    # no P_0 column.  Kept, that column's rounding would stay while J falls
+    # as (tau r)^2 for small tau.
+    cell = np.repeat(np.arange(len(counts)), counts)[1:]
+    order = (np.arange(len(cell) + 1) - np.repeat(np.cumsum(counts) - counts, counts))[1:]
+    if len(cell) ** 2 > MAX_SOLVE_BLOCK:
         raise ResourceLimitError(
-            f"the Taylor block's {columns} columns squared exceed the budget of "
+            f"the Taylor block's {len(cell)} columns squared exceed the budget of "
             f"{MAX_SOLVE_BLOCK} entries; lower tau_max"
         )
-    return label, centres, radii, counts
+    return members, np.reshape(centres, (-1, 2)), np.array(radii), cell, order
 
 
 def _taylor_order(x: float) -> int:
@@ -336,8 +330,9 @@ class IndicatorEngine:
     J is then v^H G v, with v its Taylor coefficients: the probe is
     evaluated at the cell centres alone, and no solve is made per
     direction.  J depends on the direction and the taus only, not on
-    earlier calls.  Given ``tau_max``, the engine checks that block's size
-    against MAX_SOLVE_BLOCK before it factorizes anything.
+    earlier calls.  Given ``tau_max``, the engine checks the block's
+    layout (``_taylor_cells``) against MAX_SOLVE_BLOCK before it
+    factorizes anything.
     """
 
     def __init__(self, reduced: ReducedScene, mesh: Mesh, tau_max: float | None = None):
@@ -365,7 +360,7 @@ class IndicatorEngine:
             )
         if tau_max is not None:
             # the Taylor block's budget, before any factorization
-            _taylor_columns(mesh.vertices[self.nodes], tau_max)
+            _taylor_cells(mesh.vertices[self.nodes], tau_max)
         self._condensed = None
         if len(self.nodes):
             k_near = solver.assemble(mesh.vertices, triangles, tensors[near_labels])
@@ -380,19 +375,12 @@ class IndicatorEngine:
         if self._block is not None and self._block.tau_max == tau_max:
             return self._block
         points = self.mesh.vertices[self.nodes]
-        label, centres, radii, counts = _taylor_columns(points, tau_max)
-        # J does not see a constant (contrast @ 1 = 0), so the probe less
-        # its value at the first centre goes through the block: the first
-        # cell has no P_0 column.  Kept, that column's rounding would stay
-        # while J falls as (tau r)^2 for small tau.
-        cell = np.repeat(np.arange(len(counts)), counts)[1:]
-        order = (np.arange(len(cell) + 1) - np.repeat(np.cumsum(counts) - counts, counts))[1:]
+        members, centres, radii, cell, order = _taylor_cells(points, tau_max)
         gram = np.zeros((len(cell), len(cell)), dtype=complex)
         if self._condensed is not None:
             # each cell's nodes hold its own columns alone, one dense piece
             # per cell; a cell of one node has r = 0 and only P_0 = 1
-            members = [np.flatnonzero(label == c) for c in range(len(counts))]
-            columns = [np.flatnonzero(cell == c) for c in range(len(counts))]
+            columns = [np.flatnonzero(cell == c) for c in range(len(members))]
             pieces = []
             for rows, cols, centre, radius in zip(members, columns, centres, radii):
                 offset = points[rows] - centre
@@ -402,10 +390,8 @@ class IndicatorEngine:
                 # u^n as a running product: numpy's u**n goes through
                 # exp(n log u) from n = 100
                 pieces.append(np.cumprod(powers, axis=1)[:, order[cols]])
-            node_of = np.concatenate([np.repeat(r, len(c)) for r, c in zip(members, columns)])
-            column_of = np.concatenate([np.tile(c, len(r)) for r, c in zip(members, columns)])
-            values = np.concatenate([piece.ravel() for piece in pieces])
-            basis = sp.csr_matrix((values, (node_of, column_of)), shape=(len(points), len(cell)))
+            # the pieces' rows come cell by cell; put them back in node order
+            basis = sp.block_diag(pieces, format="csr")[np.argsort(np.concatenate(members))]
             step = max(1, MAX_SOLVE_BLOCK // len(points))
             for at in range(0, len(cell), step):
                 source = (self.contrast @ basis[:, at : at + step]).toarray()
@@ -425,19 +411,27 @@ class IndicatorEngine:
         # exp(tau*(x.th - s) + i*tau*x.th_perp) = exp(tau*(conj(zeta)*z - s)),
         # z = x1 + i*x2 and zeta = th1 + i*th2: the probe at each centre c
         # times its Taylor coefficients (tau*conj(zeta)*r)^n / n! about c
-        at_centres = np.array(
-            [Probe(frame, float(tau), shift).evaluate(block.centres) for tau in taus]
-        )
         zeta_bar = frame.theta[0] - 1j * frame.theta[1]
-        scaled = np.outer(taus, zeta_bar * block.radii)
-        # (tau*conj(zeta)*r)^n / n! as a running product, which neither
-        # overflows nor underflows where N passes 170
-        ratios = scaled[:, :, None] / np.arange(1.0, 1 + np.max(block.order, initial=0))
-        powers = np.cumprod(np.concatenate([np.ones_like(scaled)[:, :, None], ratios], 2), 2)
-        v = at_centres[:, block.cell] * powers[:, block.cell, block.order]
-        # the other cells' P_0 coefficients, less the first centre's value
-        v[:, block.order == 0] -= at_centres[:, :1]
-        return np.einsum("tk,tk->t", np.conj(v), v @ block.gram.T)
+        top = np.max(block.order, initial=0)
+        # the table of coefficients is taus x cells x (N_max + 1), and it
+        # bounds the taus x columns of v: taus go in slices within budget
+        step = max(1, MAX_SOLVE_BLOCK // max(1, len(block.radii) * (top + 1)))
+        j = []
+        for at in range(0, len(taus), step):
+            part = taus[at : at + step]
+            at_centres = np.array(
+                [Probe(frame, float(tau), shift).evaluate(block.centres) for tau in part]
+            )
+            scaled = np.outer(part, zeta_bar * block.radii)
+            # (tau*conj(zeta)*r)^n / n! as a running product, which neither
+            # overflows nor underflows where N passes 170
+            ratios = scaled[:, :, None] / np.arange(1.0, 1 + top)
+            powers = np.cumprod(np.concatenate([np.ones_like(scaled)[:, :, None], ratios], 2), 2)
+            v = at_centres[:, block.cell] * powers[:, block.cell, block.order]
+            # the other cells' P_0 coefficients, less the first centre's value
+            v[:, block.order == 0] -= at_centres[:, :1]
+            j.append(np.einsum("tk,tk->t", np.conj(v), v @ block.gram.T))
+        return np.concatenate(j)
 
     def curve(self, frame: DirectionFrame, taus) -> IndicatorCurve:
         """Indicator curve at height t = 0; one block solve per tau_max.
@@ -539,9 +533,9 @@ def sweep(
     MIN_FIT_SAMPLES in the upper half of its window, a direction count that
     is not an integer of at least 8 or a slab thickness ``delta`` that is not
     a real number > 0 raises InvalidParameterError, an underresolved grid
-    ProbeResolutionError, and vertices times taus or the Taylor block's
-    columns squared over MAX_SOLVE_BLOCK ResourceLimitError, all before any
-    factorization.
+    ProbeResolutionError, and directions times taus (the curve samples held)
+    or the Taylor block's columns squared over MAX_SOLVE_BLOCK
+    ResourceLimitError, all before any factorization.
     """
     try:
         n_directions = operator.index(n_directions)
@@ -558,10 +552,10 @@ def sweep(
         raise InvalidParameterError(
             f"sweep needs at least {MIN_FIT_SAMPLES} taus in the upper half of the tau window"
         )
-    if mesh.num_vertices * len(taus) > MAX_SOLVE_BLOCK:
+    if n_directions * len(taus) > MAX_SOLVE_BLOCK:
         raise ResourceLimitError(
-            f"{len(taus)} taus times {mesh.num_vertices} vertices is {mesh.num_vertices * len(taus)} "
-            f"entries; this upper bound on the solve block exceeds the budget of {MAX_SOLVE_BLOCK}"
+            f"{n_directions} directions times {len(taus)} taus is {n_directions * len(taus)} "
+            f"curve samples, over the budget of {MAX_SOLVE_BLOCK}"
         )
     frames = geometry.uniform_directions(n_directions)
     reduced = materials.reduce_scene(scene)

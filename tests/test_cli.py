@@ -455,8 +455,10 @@ class TestSweepCommand:
         assert "largest admissible tau" in err
 
     def test_solve_block_over_budget(self, tmp_path, capsys):
+        # 10,000 directions x 801 taus: 8,010,000 curve samples
         raw = copy.deepcopy(CHEAP_SWEEP)
-        raw["sweep"]["n_tau"] = cli.MAX_SAMPLES
+        raw["sweep"]["n_directions"] = cli.MAX_SAMPLES
+        raw["sweep"]["n_tau"] = enclosure.MAX_SOLVE_BLOCK // cli.MAX_SAMPLES + 1
         path = write_config(tmp_path, raw)
         out_dir = tmp_path / "o"
         assert cli.main(["sweep", "--config", path, "--out", str(out_dir)]) == 1

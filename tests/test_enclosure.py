@@ -163,11 +163,11 @@ TRIANGLE = MaterialScene(
 
 
 def taylor_excess(points, tau_max):
-    """Each Taylor cell's r - d for ``points`` at ``tau_max``, and the cells."""
-    label, centres, radii = enclosure._taylor_cells(points, tau_max)
+    """Each Taylor cell's r - d for ``points`` at ``tau_max``, and its points."""
+    members, centres, radii, _, _ = enclosure._taylor_cells(points, tau_max)
     corners = enclosure._hull(points)
     excess = np.array([r - enclosure._depth(c, corners) for c, r in zip(centres, radii)])
-    return excess, label
+    return excess, members
 
 
 @pytest.fixture(scope="module")
@@ -320,14 +320,14 @@ class TestIndicator:
             raw = engine.pairing_differences(frame, taus)
             reference = all_vertex_reference(fine_mesh, reduced, frame, taus)
             assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
-        excess, label = taylor_excess(fine_mesh.vertices[engine.nodes], taus[-1])
+        excess, members = taylor_excess(fine_mesh.vertices[engine.nodes], taus[-1])
         assert np.all(taus[-1] * excess <= enclosure.TAYLOR_EXCESS_LIMIT)
         # a round inclusion stays one cell; the triangle's corners split
         assert len(excess) == cells if cells else len(excess) > 1
         if scene is TWO_FAR_DISKS:
             # no cell holds nodes of both disks
             east = fine_mesh.vertices[engine.nodes, 0] > 0.0
-            assert all(len(set(east[label == c])) == 1 for c in range(len(excess)))
+            assert all(len(set(east[rows])) == 1 for rows in members)
 
     @pytest.mark.parametrize("size", [3, 40, 2000])
     def test_hull_matches_qhull(self, size):
@@ -344,19 +344,20 @@ class TestIndicator:
         # hundreds, and their columns squared pass MAX_SOLVE_BLOCK
         mesh = generate_mesh(UnitDisk(), 0.005)
         inside = BIG_DISK.inclusions[0].shape.contains_mask(mesh.vertices)
-        _, _, radii, counts = enclosure._taylor_columns(
-            mesh.vertices[inside], max_admissible_tau(mesh)
-        )
-        assert len(radii) == 1 and np.sum(counts) ** 2 <= enclosure.MAX_SOLVE_BLOCK
+        tau_max = max_admissible_tau(mesh)
+        _, _, radii, cell, _ = enclosure._taylor_cells(mesh.vertices[inside], tau_max)
+        # the columns and the first cell's P_0
+        assert len(radii) == 1 and (len(cell) + 1) ** 2 <= enclosure.MAX_SOLVE_BLOCK
 
     def test_taylor_cell_of_one_node(self, coarse_mesh, monkeypatch):
         # a cell of one node has r = 0 and the column P_0 alone
         cells = enclosure._taylor_cells
 
         def first_node_apart(points, tau_max):
-            label, centres, radii = cells(points, tau_max)
-            label[0] = len(radii)
-            return label, np.vstack([centres, points[:1]]), np.append(radii, 0.0)
+            members, centres, radii, cell, order = cells(points, tau_max)
+            members = [rows[rows != 0] for rows in members] + [np.array([0])]
+            centres, radii = np.vstack([centres, points[:1]]), np.append(radii, 0.0)
+            return members, centres, radii, np.append(cell, len(members) - 1), np.append(order, 0)
 
         monkeypatch.setattr(enclosure, "_taylor_cells", first_node_apart)
         taus = gate_taus(coarse_mesh)
@@ -419,6 +420,26 @@ class TestIndicator:
         assert np.max(np.abs(batched - whole) / np.abs(whole)) <= 1e-14
         assert proxies[1].solves == math.ceil(columns / 5)
 
+    def test_probe_coefficients_are_formed_in_slices_of_taus(self, coarse_mesh, monkeypatch):
+        engine = IndicatorEngine(reduce_scene(TWO_FAR_DISKS), coarse_mesh)
+        taus = np.linspace(2.0, 8.0, 13)
+        whole = engine.pairing_differences(E1, taus)
+        block = engine._taylor_block(taus[-1])
+        evaluate = Probe.evaluate
+        calls = []
+
+        def counted(probe, points):
+            calls.append(probe.tau)
+            return evaluate(probe, points)
+
+        monkeypatch.setattr(Probe, "evaluate", counted)
+        # slices of 5, 5 and 3 taus
+        table = len(block.radii) * (np.max(block.order) + 1)
+        monkeypatch.setattr(enclosure, "MAX_SOLVE_BLOCK", 5 * table + 4)
+        sliced = engine.pairing_differences(E1, taus)
+        assert np.max(np.abs(sliced - whole) / np.abs(whole)) <= 1e-14
+        assert calls == list(taus)
+
     def test_sweep_refuses_a_taylor_block_over_budget_before_factorizing(
         self, coarse_mesh, monkeypatch
     ):
@@ -426,7 +447,7 @@ class TestIndicator:
             raise AssertionError("factorized before the Taylor block's budget check")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
-        # vertices x taus stays within the budget
+        # directions x taus stays within the budget
         monkeypatch.setattr(enclosure, "_taylor_order", lambda x: 5000)
         with pytest.raises(ResourceLimitError, match="Taylor block"):
             sweep(centered_scene(), coarse_mesh, 16, COARSE_TAUS)
@@ -1197,16 +1218,32 @@ class TestSweep:
         with pytest.raises(InvalidParameterError, match="delta"):
             sweep(centered_scene(), coarse_mesh, 8, COARSE_TAUS, delta=delta)
 
-    def test_solve_block_over_budget_raises_before_factorization(
+    def test_vertices_times_taus_over_budget_reaches_factorization(
         self, coarse_mesh, monkeypatch
     ):
-        def no_factorization(*args, **kwargs):
-            raise AssertionError("factorized for an over-budget sweep")
+        class Factorized(Exception):
+            pass
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
+        def factorized(*args, **kwargs):
+            raise Factorized
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", factorized)
+        # vertices x taus over the budget, directions x taus and G within it
         n_tau = enclosure.MAX_SOLVE_BLOCK // coarse_mesh.num_vertices + 1
-        with pytest.raises(ResourceLimitError, match="budget"):
+        with pytest.raises(Factorized):
             sweep(centered_scene(), coarse_mesh, 8, np.linspace(2.0, 8.0, n_tau))
+
+    def test_curve_samples_over_budget_raise_before_factorization(
+        self, coarse_mesh, monkeypatch
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("built directions or factorized for an over-budget sweep")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", not_reached)
+        monkeypatch.setattr(enclosure.geometry, "uniform_directions", not_reached)
+        n_directions = enclosure.MAX_SOLVE_BLOCK // len(COARSE_TAUS) + 1
+        with pytest.raises(ResourceLimitError, match="budget"):
+            sweep(centered_scene(), coarse_mesh, n_directions, COARSE_TAUS)
 
     def test_rectangle_domain_probing(self):
         from enclosure_kit.geometry import Rectangle
