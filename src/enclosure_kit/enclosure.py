@@ -82,10 +82,10 @@ class Probe:
     shift: float
 
     def __post_init__(self):
-        if not (isinstance(self.tau, numbers.Real) and self.tau > 0.0):
-            raise InvalidParameterError(f"probe tau must be a real number > 0, got {self.tau!r}")
-        if not isinstance(self.shift, numbers.Real):
-            raise InvalidParameterError(f"probe shift must be a real number, got {self.shift!r}")
+        if not (isinstance(self.tau, numbers.Real) and math.isfinite(self.tau) and self.tau > 0.0):
+            raise InvalidParameterError(f"probe tau must be finite, real and > 0, got {self.tau!r}")
+        if not (isinstance(self.shift, numbers.Real) and math.isfinite(self.shift)):
+            raise InvalidParameterError(f"probe shift must be finite and real, got {self.shift!r}")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Shifted probe values exp(tau*((x.th - s) + i*x.th_perp))."""
@@ -143,19 +143,23 @@ class IndicatorCurve:
     def __post_init__(self):
         try:
             taus = np.asarray(self.taus, dtype=float)
-            shapes = {np.shape(self.log_abs), np.shape(self.signs)}
-        except ValueError:  # a ragged nesting or a string
+            log_abs = np.asarray(self.log_abs, dtype=float)
+            signs = np.asarray(self.signs)
+        except (TypeError, ValueError):  # a ragged nesting, a string or a complex
             raise InvalidParameterError("curve arrays must hold real numbers") from None
-        if taus.ndim != 1 or shapes != {taus.shape}:
+        if taus.ndim != 1 or {log_abs.shape, signs.shape} != {taus.shape}:
             raise InvalidParameterError("curve taus, log_abs and signs must be 1-D of one length")
-        if len(taus) and np.any(np.diff(taus) <= 0.0):
-            raise InvalidParameterError("curve taus must be strictly increasing")
-        if not np.all(np.isfinite(np.asarray(self.log_abs)[~self.underflow])):
+        if not (np.all(np.isfinite(taus)) and np.all(np.diff(taus) > 0.0)):
+            raise InvalidParameterError("curve taus must be finite and strictly increasing")
+        if not np.all(np.isfinite(log_abs[signs != 0])):
             raise InvalidParameterError("non-finite log sample without underflow flag")
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "log_abs", log_abs)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def underflow(self) -> np.ndarray:
-        return np.asarray(self.signs) == 0
+        return self.signs == 0
 
     def __len__(self) -> int:
         return len(self.taus)
@@ -260,9 +264,12 @@ def _taylor_cells(points: np.ndarray, tau_max: float):
 
 
 def _taylor_order(x: float) -> int:
-    """Smallest N with x^N / N! <= TAYLOR_TAIL * exp(-x), x >= 0."""
+    """Smallest N with x^N / N! <= TAYLOR_TAIL * exp(-x), x >= 0, capped at
+    the first N whose N - 1 columns squared exceed MAX_SOLVE_BLOCK, which
+    the block's budget refuses: x^N / N! may overflow and never fall."""
+    cap = math.isqrt(MAX_SOLVE_BLOCK) + 1
     n, term = 1, x
-    while term > TAYLOR_TAIL * math.exp(-x):
+    while term > TAYLOR_TAIL * math.exp(-x) and n <= cap:
         n += 1
         term *= x / n
     return n
@@ -360,7 +367,7 @@ class IndicatorEngine:
             )
         if tau_max is not None:
             # the Taylor block's budget, before any factorization
-            _taylor_cells(mesh.vertices[self.nodes], tau_max)
+            _taylor_cells(mesh.vertices[self.nodes], float(_check_taus(mesh, [tau_max])[0]))
         self._condensed = None
         if len(self.nodes):
             k_near = solver.assemble(mesh.vertices, triangles, tensors[near_labels])

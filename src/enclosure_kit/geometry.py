@@ -17,7 +17,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -154,6 +154,8 @@ class ConvexPolygon:
     vertices: tuple[Vec2, ...]
 
     def __post_init__(self):
+        if not isinstance(self.vertices, Iterable):
+            raise InvalidParameterError(f"polygon vertices must be points, got {self.vertices!r}")
         verts = tuple((float(x), float(y)) for x, y in map(_as_point, self.vertices))
         if len(verts) < 3:
             raise InvalidParameterError("polygon needs at least 3 vertices")

@@ -129,7 +129,16 @@ class MaterialScene:
     inclusions: tuple[Inclusion, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "inclusions", tuple(self.inclusions))
+        try:
+            inclusions = tuple(self.inclusions)
+            typed = all(isinstance(inc, Inclusion) for inc in inclusions)
+        except TypeError:  # not iterable
+            typed = False
+        if not typed:
+            raise InvalidParameterError(
+                f"inclusions must be a sequence of Inclusion values, got {self.inclusions!r}"
+            )
+        object.__setattr__(self, "inclusions", inclusions)
         constants = (self.sigma0, self.eps0, self.omega)
         if not all(isinstance(c, numbers.Real) and math.isfinite(c) for c in constants):
             raise InvalidParameterError("sigma0, eps0 and omega must be finite real numbers")
@@ -316,8 +325,8 @@ def frequency_bound(m: float, c_theta: float, big_m: float) -> float:
 
     Returns +inf when M = 0 (no reactive contrast).
     """
-    if not all(isinstance(x, numbers.Real) for x in (m, c_theta, big_m)):
-        raise InvalidParameterError("m, C_theta and M must be real numbers")
+    if not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in (m, c_theta, big_m)):
+        raise InvalidParameterError("m, C_theta and M must be finite real numbers")
     root = _sqrt_mc(m, c_theta)
     if big_m < 0.0:
         raise InvalidParameterError("M must be >= 0")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import get_args
 
 import numpy as np
 
@@ -117,6 +118,8 @@ def generate_mesh(domain: Domain, target_h: float) -> Mesh:
     ResourceLimitError
         If the requested resolution would exceed the element budget.
     """
+    if not isinstance(domain, get_args(Domain)):
+        raise InvalidParameterError(f"unsupported domain {domain!r}")
     if not (isinstance(target_h, numbers.Real) and target_h > 0.0):
         raise InvalidParameterError(f"target_h must be a real number > 0, got {target_h!r}")
     if target_h >= domain.diameter() / 2.0:
@@ -126,9 +129,7 @@ def generate_mesh(domain: Domain, target_h: float) -> Mesh:
         )
     if isinstance(domain, Rectangle):
         return _mesh_rectangle(domain, target_h)
-    if isinstance(domain, UnitDisk):
-        return _mesh_unit_disk(domain, target_h)
-    raise InvalidParameterError(f"unsupported domain {domain!r}")
+    return _mesh_unit_disk(domain, target_h)
 
 
 def _ceil_count(num: float, den: float, target_h: float) -> int:

@@ -14,14 +14,14 @@ walk over its quadtree dissection order: each quadtree part (at most
 MAX_PART_VERTICES vertices) is factored and freed in turn, each cell
 separator merges the updates from within its cell in a small dense front,
 and a last front, with nothing to eliminate, sums what is left on the halo.
-``DirichletSystem`` factorizes the whole interior and serves as the test
-reference.  Both factorize once (SuperLU, deterministic ordering), reuse
-the factors across right-hand sides and check every solve's residual.
+``DirichletSystem`` factorizes the whole interior of one coefficient field;
+with ``dtn_pairing`` and ``difference_pairing`` it is the whole-interior
+reference the tests hold the pipeline against.  Both systems factorize
+once (SuperLU, deterministic ordering), reuse the factors across
+right-hand sides and check every solve's residual.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,14 +35,6 @@ from .materials import MaterialScene, ReducedScene
 from .meshing import Mesh
 
 RESIDUAL_TOL = 1e-10
-
-
-def identity_field(mesh: Mesh) -> np.ndarray:
-    """Identity conductivity, zero permittivity: the reference background."""
-    m = np.zeros((mesh.num_triangles, 2, 2), dtype=complex)
-    m[:, 0, 0] = 1.0
-    m[:, 1, 1] = 1.0
-    return m
 
 
 def inclusion_labels(mesh: Mesh, shapes) -> np.ndarray:
@@ -466,27 +458,13 @@ class CondensedSystem:
         return _checked_solve(self._lu, self.schur, rhs)[0]
 
 
-@dataclass(frozen=True)
-class DirichletSolution:
-    """Nodal solution of one Dirichlet solve.
-
-    ``u`` holds complex values for every vertex; its restriction to the
-    boundary equals the prescribed trace exactly.  ``residual_norm`` is the
-    relative interior residual of the eliminated system.
-    """
-
-    u: np.ndarray
-    residual_norm: float
-    mesh: Mesh
-
-
 class DirichletSystem:
     """Assembled and factorized Dirichlet problem for one coefficient field.
 
     ``coeff`` holds one complex 2x2 matrix per triangle, shape (nt, 2, 2).
     The whole interior is factorized once, and every solve passes through
-    the same residual check; the pipeline does not use it, the tests
-    compare against it.
+    the same residual check, so a solve returns values alone.  The
+    pipeline does not use it; the tests compare against it.
     """
 
     def __init__(self, mesh: Mesh, coeff: np.ndarray):
@@ -509,33 +487,29 @@ class DirichletSystem:
         """
         return _checked_solve(self._lu, self.K_ii, rhs)
 
-    def solve_dirichlet(self, f: np.ndarray) -> DirichletSolution:
-        """Solve one Dirichlet problem; trace values follow boundary order."""
+    def solve_dirichlet(self, f: np.ndarray) -> np.ndarray:
+        """Nodal values u on every vertex for the Dirichlet trace ``f``, in
+        boundary order; u equals f on the boundary exactly."""
         f = np.asarray(f, dtype=complex)
         if f.shape != (len(self.boundary),):
             raise InvalidParameterError(
                 f"trace has shape {f.shape}, boundary has {len(self.boundary)} values"
             )
-        u_i, rel = self.solve_interior(-(self.K_ib @ f))
         u = np.zeros(self.mesh.num_vertices, dtype=complex)
-        u[self.interior] = u_i
+        u[self.interior] = self.solve_interior(-(self.K_ib @ f))[0]
         u[self.boundary] = f
-        return DirichletSolution(u=u, residual_norm=float(rel), mesh=self.mesh)
+        return u
 
 
 def dtn_pairing(
-    system: DirichletSystem,
-    solution: DirichletSolution,
-    g: np.ndarray,
-    extension: np.ndarray | None = None,
+    system: DirichletSystem, f: np.ndarray, g: np.ndarray, extension: np.ndarray | None = None
 ) -> complex:
-    """Weak Neumann pairing <Lambda f, g> = v^T K u for an extension v of g.
+    """Weak Neumann pairing <Lambda f, g> = v^T K u, u the solution for the
+    trace f and v an extension of g.
 
     By default v is the nodal zero-extension of g; any other discrete
     extension gives the same value up to the interior residual.
     """
-    if solution.mesh is not system.mesh:
-        raise InvalidParameterError("solution and system come from different meshes")
     g = np.asarray(g, dtype=complex)
     if g.shape != (len(system.boundary),):
         raise InvalidParameterError("boundary data does not match the mesh boundary")
@@ -548,7 +522,7 @@ def dtn_pairing(
             raise InvalidParameterError("extension must be a full nodal vector")
         if np.max(np.abs(v[system.boundary] - g)) > 1e-10 * (1.0 + np.max(np.abs(g))):
             raise InvalidParameterError("extension does not extend the given trace")
-    return complex(np.dot(v, system.K @ solution.u))
+    return complex(np.dot(v, system.K @ system.solve_dirichlet(f)))
 
 
 def difference_pairing(
@@ -565,8 +539,8 @@ def difference_pairing(
     """
     if sys_a.mesh is not sys_b.mesh:
         raise InvalidParameterError("systems must share one mesh")
-    u_a = sys_a.solve_dirichlet(f).u
-    v_g = sys_b.solve_dirichlet(g).u
+    u_a = sys_a.solve_dirichlet(f)
+    v_g = sys_b.solve_dirichlet(g)
     delta_k = (sys_a.K - sys_b.K).tocsr()
     return complex(np.dot(v_g, delta_k @ u_a))
 

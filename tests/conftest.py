@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from enclosure_kit import cli, enclosure, geometry, materials, meshing
+from enclosure_kit import cli, enclosure, geometry, materials, meshing, solver
 
 REFERENCE_TAUS = np.linspace(4.0, 16.0, 13)
 
@@ -29,6 +29,12 @@ def reference_scene() -> materials.MaterialScene:
             ),
         ),
     )
+
+
+def background_field(mesh: meshing.Mesh) -> np.ndarray:
+    """The reference background, I on every triangle: the reduced field of
+    a scene without inclusions."""
+    return solver.reduced_field(mesh, materials.ReducedScene(omega=0.0))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import math
+import signal
 import weakref
 
 import numpy as np
@@ -40,6 +42,7 @@ from enclosure_kit.materials import (
     scene_support,
 )
 from enclosure_kit.meshing import generate_mesh
+from conftest import background_field
 from scene_factory import ellipse_and_polygon_scene
 
 E1 = DirectionFrame((1.0, 0.0))
@@ -168,6 +171,23 @@ def taylor_excess(points, tau_max):
     corners = enclosure._hull(points)
     excess = np.array([r - enclosure._depth(c, corners) for c, r in zip(centres, radii)])
     return excess, members
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once ``seconds`` have passed, so that
+    a loop that never ends fails its test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -452,6 +472,37 @@ class TestIndicator:
         with pytest.raises(ResourceLimitError, match="Taylor block"):
             sweep(centered_scene(), coarse_mesh, 16, COARSE_TAUS)
 
+    @pytest.mark.parametrize(
+        "tau_max, error",
+        [
+            (math.nan, InvalidParameterError),
+            (math.inf, InvalidParameterError),
+            (-5.0, InvalidParameterError),
+            ("16", InvalidParameterError),
+            (1e6, ProbeResolutionError),
+        ],
+        ids=["nan", "inf", "negative", "string", "underresolved"],
+    )
+    def test_engine_checks_tau_max_before_the_taylor_layout(
+        self, coarse_mesh, monkeypatch, tau_max, error
+    ):
+        # a NaN or infinite tau_max never leaves the cell split, and 1e6
+        # gives x = tau_max * r past where x^N / N! overflows
+        def not_reached(*args, **kwargs):
+            raise AssertionError("laid out Taylor cells for an unchecked tau_max")
+
+        monkeypatch.setattr(enclosure, "_taylor_cells", not_reached)
+        with deadline(20.0), pytest.raises(error):
+            IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh, tau_max=tau_max)
+
+    @pytest.mark.parametrize("x", [750.0, 1e6, math.inf])
+    def test_taylor_order_stops_past_the_budget(self, x):
+        # x^N / N! overflows from x = 710 on and never falls back; the
+        # order stops where its N - 1 columns squared pass the budget
+        with deadline(10.0):
+            order = enclosure._taylor_order(x)
+        assert (order - 1) ** 2 > enclosure.MAX_SOLVE_BLOCK
+
     def test_taylor_block_over_budget_raises_before_solving(self, coarse_mesh, monkeypatch):
         proxies = patch_factors(monkeypatch, True)
         engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
@@ -704,7 +755,7 @@ class TestIndicator:
         raw_engine = engine.pairing_differences(E1, np.array([tau]))[0]
         raw_def = solver.difference_pairing(
             solver.DirichletSystem(coarse_mesh, solver.reduced_field(coarse_mesh, red)),
-            solver.DirichletSystem(coarse_mesh, solver.identity_field(coarse_mesh)),
+            solver.DirichletSystem(coarse_mesh, background_field(coarse_mesh)),
             trace,
             np.conj(trace),
         )
@@ -743,7 +794,7 @@ class TestIndicator:
                 log_abs=np.zeros((1, 2)),
                 signs=np.ones((1, 2), dtype=int),
             )
-        for taus in ([[1.0], [2.0, 3.0]], ["a", "b"]):
+        for taus in ([[1.0], [2.0, 3.0]], ["a", "b"], [1 + 1j, 2.0]):
             with pytest.raises(InvalidParameterError, match="real numbers"):
                 IndicatorCurve(t=0.0, taus=taus, log_abs=np.zeros(2), signs=np.ones(2, dtype=int))
 
@@ -795,7 +846,7 @@ def condensed_update(mesh, nodes):
     definite Schur complement on S, and its diagonal is of the update's
     size, so that subtracting the block gives the update back to its last
     bits (a block of 1e3 I would round every diagonal entry to 1.1e-13)."""
-    k0 = solver.assemble(mesh.vertices, mesh.triangles, solver.identity_field(mesh).real)
+    k0 = solver.assemble(mesh.vertices, mesh.triangles, background_field(mesh).real)
     block = k0[nodes][:, nodes].tocsc()
     return (solver.CondensedSystem(mesh, nodes, block).schur - block).toarray()
 
@@ -867,7 +918,7 @@ class TestPartitionedExterior:
         IndicatorEngine(reduce_scene(scene), mesh)
         assert len(factored) == len(orders)
         assert len(orders) == 1 if one_part else len(orders) >= 4
-        k0 = solver.assemble(mesh.vertices, mesh.triangles, solver.identity_field(mesh).real)
+        k0 = solver.assemble(mesh.vertices, mesh.triangles, background_field(mesh).real)
         for (matrix, _), order in zip(factored, orders):
             block = k0[order][:, order].tocsc()
             assert np.array_equal(matrix.indptr, block.indptr)
@@ -1063,6 +1114,14 @@ class TestEstimateSupport:
         taus = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 100.0])
         with pytest.raises(EstimationError):
             estimate_support(self.synthetic_curve(taus, 2.0 * taus * 0.5))
+
+    def test_curve_of_lists(self):
+        # the curve stores its columns as arrays, which the fit indexes
+        taus = list(np.linspace(8.0, 16.0, 9))
+        # log|I| = 2 * tau * h with h = 0.5
+        curve = IndicatorCurve(t=0.0, taus=taus, log_abs=taus, signs=[1] * 9)
+        assert all(isinstance(c, np.ndarray) for c in (curve.taus, curve.log_abs, curve.signs))
+        assert estimate_support(curve).h_hat == pytest.approx(0.5, abs=1e-12)
 
     def test_underflow_in_window(self):
         taus = np.linspace(8.0, 16.0, 9)

@@ -78,6 +78,8 @@ class TestDirectionFrame:
         for f in frames:
             assert abs(math.hypot(*f.theta) - 1.0) < 1e-14
         assert np.allclose(frames[4].theta, (0.0, 1.0), atol=1e-15)
+        with pytest.raises(InvalidParameterError, match="at least one direction"):
+            uniform_directions(0)
 
     @pytest.mark.parametrize("n", [2.5, np.float64(9.0), "9"])
     def test_uniform_directions_refuses_non_integer_count(self, n):

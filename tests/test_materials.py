@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enclosure_kit.enclosure import IndicatorCurve, Probe
 from enclosure_kit.errors import EmptySlabError, InvalidParameterError
 from enclosure_kit.geometry import AxisEllipse, DirectionFrame, Disk
 from enclosure_kit.materials import (
@@ -208,6 +209,10 @@ class TestSceneValidation:
             lambda: AxisEllipse((0.0, math.inf), 0.2, 0.1),
             lambda: Disk((math.nan, 0.0), 0.2),
             lambda: DirectionFrame((math.nan, 0.0)),
+            lambda: Probe(E1, math.inf, 0.0),
+            lambda: Probe(E1, 1.0, math.nan),
+            lambda: frequency_bound(1.0, 1.0, math.nan),
+            lambda: IndicatorCurve(0.0, [1.0, math.nan], [0.0, 0.0], [1, 1]),
         ],
         ids=[
             "sigma0-nan",
@@ -219,6 +224,10 @@ class TestSceneValidation:
             "ellipse-center-inf",
             "disk-center-nan",
             "direction-nan",
+            "probe-tau-inf",
+            "probe-shift-nan",
+            "frequency-bound-nan",
+            "curve-tau-nan",
         ],
     )
     def test_rejects_non_finite_input(self, build):
@@ -315,6 +324,7 @@ class TestBounds:
     def test_zero_perturbation(self):
         m, big_m = bounds_mM(scene_with(SymMat2.zero(), SymMat2.zero()))
         assert (m, big_m) == (1.0, 0.0)
+        assert bounds_mM(MaterialScene(sigma0=1.0, eps0=1.0, omega=1.0)) == (1.0, 0.0)
 
     def test_isotropic(self):
         # omega = 0, sigma0 = eps0 = 1: a = alpha, b = beta - alpha
@@ -356,6 +366,8 @@ class TestFrequencyBound:
             frequency_bound(0.0, 1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             frequency_bound(1.0, -1.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="M must be >= 0"):
+            frequency_bound(1, 1, -1)
 
 
 class TestPQWeights:

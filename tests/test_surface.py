@@ -17,15 +17,14 @@ import pytest
 
 from enclosure_kit import enclosure, materials, meshing
 from enclosure_kit.errors import InvalidParameterError
-from enclosure_kit.geometry import DirectionFrame, Disk, Rectangle, UnitDisk
+from enclosure_kit.geometry import ConvexPolygon, DirectionFrame, Disk, Rectangle, UnitDisk
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "enclosure_kit"
 
 ALLOWED = {
-    "identity_field": "test reference: background field of the whole-interior solves",
     "scene_field": "test reference: original-variable field of criterion 5",
-    "reduced_field": "test reference: whole-mesh reduced field of the whole-interior solves",
+    "reduced_field": "test reference: whole-mesh field, background included, of the whole-interior solves",
     "dtn_pairing": "test reference: weak Neumann pairing of criteria 4 and 5",
     "difference_pairing": "test reference: pairing difference of the two-solve check",
     "shifted": "criterion 7 moves indicator curves to other heights",
@@ -33,9 +32,7 @@ ALLOWED = {
     "error": "argparse calls _Parser.error",
 }
 
-ALLOWED_FIELDS = {
-    "residual_norm": "test reference: the Dirichlet tests check the solve residual",
-}
+ALLOWED_FIELDS = {}
 
 
 def parsed(directory):
@@ -124,12 +121,18 @@ def test_every_raise_is_typed():
     "call",
     [
         lambda: meshing.generate_mesh(UnitDisk(), "0.1"),
+        lambda: meshing.generate_mesh("disk", 0.1),
         lambda: enclosure.Probe(DirectionFrame((1.0, 0.0)), "4", 0.0),
+        lambda: enclosure.Probe(DirectionFrame((1.0, 0.0)), 4.0, "0"),
         lambda: materials.pq_weights("1", 1.0, 1.0),
         lambda: materials.frequency_bound("1", 1.0, 1.0),
         lambda: Disk((0, 0), "0.2"),
         lambda: materials.MaterialScene("1", 1.0, 1.0),
+        lambda: materials.MaterialScene(1.0, 1.0, 1.0, (5,)),
+        lambda: materials.MaterialScene(1.0, 1.0, 1.0, 5),
+        lambda: ConvexPolygon(5),
         lambda: DirectionFrame("x"),
+        lambda: DirectionFrame(1.0),
         lambda: DirectionFrame((1.0, "a")),
         lambda: DirectionFrame.from_angle("x"),
         lambda: materials.SymMat2("1", 0.0, 1.0),
@@ -146,12 +149,18 @@ def test_every_raise_is_typed():
     ],
     ids=[
         "generate_mesh-target_h",
+        "generate_mesh-domain",
         "Probe-tau",
+        "Probe-shift",
         "pq_weights",
         "frequency_bound",
         "Disk-radius",
         "MaterialScene",
+        "MaterialScene-inclusion",
+        "MaterialScene-inclusions",
+        "ConvexPolygon-vertices",
         "DirectionFrame-scalar",
+        "DirectionFrame-number",
         "DirectionFrame-entry",
         "DirectionFrame.from_angle",
         "SymMat2-entry",
@@ -163,7 +172,9 @@ def test_every_raise_is_typed():
     ],
 )
 def test_mistyped_argument_is_an_invalid_parameter(call):
-    """A string where the library expects a number ends as the typed
-    error, not as a TypeError or ValueError from a comparison or a cast."""
+    """An argument of the wrong type, such as a string where the library
+    expects a number or a number where it expects a shape, a domain or a
+    sequence, ends as the typed error, not as a TypeError, ValueError or
+    AttributeError from a comparison, a cast or an attribute lookup."""
     with pytest.raises(InvalidParameterError):
         call()
