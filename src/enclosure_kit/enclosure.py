@@ -151,6 +151,8 @@ class IndicatorCurve:
             raise InvalidParameterError("curve taus, log_abs and signs must be 1-D of one length")
         if not (np.all(np.isfinite(taus)) and np.all(np.diff(taus) > 0.0)):
             raise InvalidParameterError("curve taus must be finite and strictly increasing")
+        if not (signs.dtype.kind in "iu" and np.isin(signs, (-1, 0, 1)).all()):
+            raise InvalidParameterError("curve signs must be integers in {-1, 0, 1}")
         if not np.all(np.isfinite(log_abs[signs != 0])):
             raise InvalidParameterError("non-finite log sample without underflow flag")
         object.__setattr__(self, "taus", taus)
@@ -347,14 +349,15 @@ class IndicatorEngine:
         labels = solver.inclusion_labels(mesh, [inc.shape for inc in reduced.inclusions])
         d_a = solver.contrast_tensors(reduced)
         tensors = np.eye(2) + d_a
-        touched = np.unique(mesh.triangles[np.any(d_a != 0.0, axis=(1, 2))[labels]])
-        # Every triangle with a vertex in `touched`, not the inclusion
-        # triangles alone: SciPy sums a row's duplicate entries after an
-        # unstable per-row sort, so every entry of the row, zeros included,
-        # sets the summation order.  With all of them, on the mesh's vertex
-        # ids, the inclusion vertices' rows match a whole-mesh assembly bit
-        # for bit, for dA here and for the stiffness block K_SS below.
-        near = np.any(np.isin(mesh.triangles, touched), axis=1)
+        touched = np.zeros(mesh.num_vertices, dtype=bool)
+        touched[mesh.triangles[np.any(d_a != 0.0, axis=(1, 2))[labels]]] = True
+        # Every triangle with a touched vertex, not the inclusion triangles
+        # alone: SciPy sums a row's duplicate entries after an unstable
+        # per-row sort, so every entry of the row, zeros included, sets the
+        # summation order.  With all of them, on the mesh's vertex ids, the
+        # inclusion vertices' rows match a whole-mesh assembly bit for bit,
+        # for dA here and for the stiffness block K_SS below.
+        near = touched[mesh.triangles].any(axis=1)
         triangles, near_labels = mesh.triangles[near], labels[near]
         delta_k = assemble(mesh.vertices, triangles, d_a[near_labels])
         delta_k.eliminate_zeros()

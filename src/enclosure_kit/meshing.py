@@ -37,7 +37,8 @@ class Mesh:
     h_max : longest edge, computed from the triangles
 
     Arrays are locked after construction; a mesh is immutable and safe to
-    share across threads.
+    share across threads.  Its passes over the triangles (h_max, areas,
+    centroids) gather one corner at a time, never all corners at once.
     """
 
     vertices: np.ndarray
@@ -56,9 +57,8 @@ class Mesh:
             raise MeshError("mesh has no triangles")
         if not (_is_index_array(bv, 1, len(v)) and len(np.unique(bv)) == len(bv)):
             raise MeshError(f"boundary_vertices must be distinct vertex indices in [0, {len(v)})")
-        object.__setattr__(
-            self, "h_max", float(np.max(_edge_lengths(self.vertices, self.triangles)))
-        )
+        h_max = max(np.max(_edge_length(self, k)) for k in range(3))
+        object.__setattr__(self, "h_max", float(h_max))
         if np.min(self.triangle_areas()) <= 0.0:
             raise MeshError("mesh contains a degenerate or misoriented triangle")
         for arr in (self.vertices, self.triangles, self.boundary_vertices):
@@ -73,14 +73,18 @@ class Mesh:
         return len(self.triangles)
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        (x, y), t = self.vertices.T, self.triangles
+        x0, y0 = x[t[:, 0]], y[t[:, 0]]
+        area = (x[t[:, 1]] - x0) * (y[t[:, 2]] - y0)
+        area -= (x[t[:, 2]] - x0) * (y[t[:, 1]] - y0)
+        return np.multiply(area, 0.5, out=area)
 
     def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        # (v0 + v1) + v2, then / 3: the order of a mean over the corners
+        v, t = self.vertices, self.triangles
+        total = v[t[:, 0]] + v[t[:, 1]]
+        total += v[t[:, 2]]
+        return np.divide(total, 3.0, out=total)
 
     def interior_vertices(self) -> np.ndarray:
         mask = np.ones(self.num_vertices, dtype=bool)
@@ -97,12 +101,10 @@ def _is_index_array(arr, ndim: int, nv: int) -> bool:
     return _is_array(arr, ndim, np.integer) and (arr.size == 0 or 0 <= arr.min() <= arr.max() < nv)
 
 
-def _edge_lengths(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = vertices[triangles]
-    e0 = np.hypot(*(p[:, 1] - p[:, 0]).T)
-    e1 = np.hypot(*(p[:, 2] - p[:, 1]).T)
-    e2 = np.hypot(*(p[:, 0] - p[:, 2]).T)
-    return np.column_stack([e0, e1, e2])
+def _edge_length(mesh: Mesh, k: int) -> np.ndarray:
+    """Length of each triangle's edge from corner k to corner k + 1."""
+    a, b, (x, y) = mesh.triangles[:, k], mesh.triangles[:, (k + 1) % 3], mesh.vertices.T
+    return np.hypot(x[b] - x[a], y[b] - y[a])
 
 
 def generate_mesh(domain: Domain, target_h: float) -> Mesh:
@@ -161,24 +163,24 @@ def _mesh_rectangle(domain: Rectangle, target_h: float) -> Mesh:
             f"triangles; budget is {MAX_TRIANGLES}"
         )
 
-    xs = domain.x_min + lx * np.arange(nx + 1) / nx
-    ys = domain.y_min + ly * np.arange(ny + 1) / ny
-    xg, yg = np.meshgrid(xs, ys, indexing="xy")
-    vertices = np.column_stack([xg.ravel(), yg.ravel()])
+    vertices = np.empty((ny + 1, nx + 1, 2))
+    vertices[..., 0] = domain.x_min + lx * np.arange(nx + 1) / nx
+    vertices[..., 1] = (domain.y_min + ly * np.arange(ny + 1) / ny)[:, None]
 
     ids = np.arange((ny + 1) * (nx + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
-    corners = np.stack([ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]], axis=-1)
+    corners = (ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1])
     # corners run v00, v10, v11, v01; cell (i, j) splits along v00-v11 when
     # i + j is even, else along v10-v01
-    even = (np.add.outer(np.arange(ny), np.arange(nx)) % 2 == 0)[:, :, None]
-    split = np.where(even, corners[..., [0, 1, 2, 0, 2, 3]], corners[..., [0, 1, 3, 1, 2, 3]])
-    tris = split.reshape(-1, 3)
+    even = np.add.outer(np.arange(ny), np.arange(nx)) % 2 == 0
+    tris = np.empty((ny, nx, 6), dtype=np.int64)
+    for k, (e, o) in enumerate(zip((0, 1, 2, 0, 2, 3), (0, 1, 3, 1, 2, 3))):
+        tris[..., k] = np.where(even, corners[e], corners[o])
 
     # bottom row, right column, top row reversed, left column reversed
     boundary_vertices = np.concatenate(
         [ids[0, :-1], ids[:-1, -1], ids[-1, :0:-1], ids[:0:-1, 0]]
     )
-    return Mesh(vertices, tris, boundary_vertices, domain)
+    return Mesh(vertices.reshape(-1, 2), tris.reshape(-1, 3), boundary_vertices, domain)
 
 
 def _ring_start(k: int) -> int:
@@ -209,20 +211,21 @@ def _mesh_unit_disk(domain: UnitDisk, target_h: float) -> Mesh:
             f"disk mesh at target_h = {target_h:g} needs {6 * n_rings**2} "
             f"triangles; budget is {MAX_TRIANGLES}"
         )
-    verts = [np.zeros((1, 2))]
+    # ring k's vertices start at _ring_start(k), and its triangles (ring 1's
+    # fan, then the stitch of ring k to ring k - 1) at 6 (k - 1)^2
+    vertices = np.zeros((_ring_start(n_rings + 1), 2))
+    triangles = np.zeros((6 * n_rings**2, 3), dtype=np.int64)
     for k in range(1, n_rings + 1):
         ang = 2.0 * math.pi * np.arange(6 * k) / (6 * k)
         r = k / n_rings
-        verts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
-    vertices = np.vstack(verts)
-
-    ring1 = np.arange(_ring_start(1), _ring_start(1) + 6)
-    tris = [np.column_stack([ring1, np.roll(ring1, -1), np.zeros(6, dtype=np.int64)])]
-    for k in range(2, n_rings + 1):
-        outer = np.arange(_ring_start(k), _ring_start(k) + 6 * k)
-        inner = np.arange(_ring_start(k - 1), _ring_start(k - 1) + 6 * (k - 1))
-        tris.append(_merge_rings(outer, inner))
-    triangles = np.concatenate(tris)
+        ring = slice(_ring_start(k), _ring_start(k + 1))
+        vertices[ring, 0], vertices[ring, 1] = r * np.cos(ang), r * np.sin(ang)
+        outer = np.arange(ring.start, ring.stop)
+        if k == 1:
+            triangles[:6, 0], triangles[:6, 1] = outer, np.roll(outer, -1)
+        else:
+            inner = np.arange(_ring_start(k - 1), ring.start)
+            triangles[6 * (k - 1) ** 2 : 6 * k**2] = _merge_rings(outer, inner)
 
     boundary_vertices = np.arange(_ring_start(n_rings), _ring_start(n_rings) + 6 * n_rings)
     return Mesh(vertices, triangles, boundary_vertices, domain)
@@ -230,10 +233,9 @@ def _mesh_unit_disk(domain: UnitDisk, target_h: float) -> Mesh:
 
 def min_angle_deg(mesh: Mesh) -> float:
     """Smallest interior angle of any triangle, in degrees."""
-    lengths = _edge_lengths(mesh.vertices, mesh.triangles)
-    a, b, c = lengths[:, 0], lengths[:, 1], lengths[:, 2]
-    angles = []
+    a, b, c = (_edge_length(mesh, k) for k in range(3))
+    smallest = math.inf
     for opp, s1, s2 in ((a, b, c), (b, c, a), (c, a, b)):
         cosv = np.clip((s1**2 + s2**2 - opp**2) / (2.0 * s1 * s2), -1.0, 1.0)
-        angles.append(np.arccos(cosv))
-    return math.degrees(float(np.min(np.stack(angles))))
+        smallest = min(smallest, float(np.min(np.arccos(cosv))))
+    return math.degrees(smallest)

@@ -166,14 +166,13 @@ MORTON_BITS = 26
 MAX_PART_VERTICES = 12_000
 
 
-def _quadtree(
-    points: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _quadtree(points: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Morton key, quadtree level and nested-dissection order of a graph's
     vertices.
 
-    ``points`` holds one coordinate pair per vertex, and each pair
-    (rows[i], cols[i]) is an edge.  The coordinates, quantized over their
+    ``points`` holds one coordinate pair per vertex, and ``edges`` yields
+    batches of index arrays (rows, cols): each pair (rows[i], cols[i]) is
+    an edge unless an end is negative.  The coordinates, quantized over their
     bounding square, interleave into a Morton key, so every quadtree cell
     is a range of keys and the highest bit in which two keys differ is the
     split that halves the smallest cell holding both.  For every edge the
@@ -194,14 +193,17 @@ def _quadtree(
     for bit in range(MORTON_BITS):
         key |= ((q[:, 0] >> bit) & 1) << (2 * bit + 1)
         key |= ((q[:, 1] >> bit) & 1) << (2 * bit)
-    u, v = key[rows], key[cols]
-    lower = np.where(u < v, rows, cols)
-    # the highest differing bit, counted from 1, is the log2 key count of
-    # the smallest cell holding both endpoints
-    split = np.frexp((u ^ v).astype(float))[1].astype(np.int64)
     level = np.zeros(len(points), dtype=np.int64)
-    # one dtype for both: ufunc.at takes a slow path on mixed dtypes
-    np.maximum.at(level, lower, split)
+    for rows, cols in edges:
+        inside = (rows >= 0) & (cols >= 0)
+        rows, cols = rows[inside], cols[inside]
+        u, v = key[rows], key[cols]
+        lower = np.where(u < v, rows, cols)
+        # the highest differing bit, counted from 1, is the log2 key count
+        # of the smallest cell holding both endpoints
+        split = np.frexp((u ^ v).astype(float))[1].astype(np.int64)
+        # one dtype for both: ufunc.at takes a slow path on mixed dtypes
+        np.maximum.at(level, lower, split)
     return key, level, np.lexsort((level, key | ((1 << level) - 1)))
 
 
@@ -356,7 +358,9 @@ class CondensedSystem:
     block on the whole interface is held:
 
     1. E is ordered by the quadtree nested dissection of ``_quadtree`` (it
-       fills less than SuperLU's default COLAMD) on the triangles' edges.
+       fills less than SuperLU's default COLAMD) on the triangles' edges,
+       numbered in int32 and fed one corner slot at a time, so no
+       (3 nt, 2) edge array is built.
        ``_parts`` splits it at the top levels of that quadtree into parts
        of at most MAX_PART_VERTICES vertices and the interface G of the
        separators of the cells above them; a smaller E is one part and G
@@ -386,17 +390,17 @@ class CondensedSystem:
         triangles = mesh.triangles
         interior = mesh.interior_vertices()
         exterior = interior[~np.isin(interior, nodes)]
-        local = np.full(mesh.num_vertices, -1)
+        local = np.full(mesh.num_vertices, -1, dtype=np.int32)
         local[exterior] = np.arange(len(exterior))
         corners = local[triangles]
         # any two vertices of a triangle share an edge
         near_e = np.zeros(mesh.num_vertices, dtype=bool)
         near_e[triangles[np.any(corners >= 0, axis=1)]] = True
         halo = np.flatnonzero(near_e[nodes])
-        edges = np.concatenate([corners[:, [0, 1]], corners[:, [1, 2]], corners[:, [2, 0]]])
-        edges = edges[np.all(edges >= 0, axis=1)]
-        key, level, order = _quadtree(mesh.vertices[exterior], edges[:, 0], edges[:, 1])
-        del corners, edges
+        # the triangles' sides, one corner slot at a time
+        sides = ((corners[:, k], corners[:, k - 1]) for k in range(3))
+        key, level, order = _quadtree(mesh.vertices[exterior], sides)
+        del corners
         part = _parts(key, level)[order]
         key, level, exterior = key[order], level[order], exterior[order]
         # in dissection order each part is one run, and so is each cell's

@@ -4,6 +4,8 @@ sweeps are built once per session."""
 import contextlib
 import io
 import time
+import tracemalloc
+import types
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +37,25 @@ def background_field(mesh: meshing.Mesh) -> np.ndarray:
     """The reference background, I on every triangle: the reduced field of
     a scene without inclusions."""
     return solver.reduced_field(mesh, materials.ReducedScene(omega=0.0))
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace the allocations of the ``with`` body; on exit the yielded
+    object's ``bytes`` is their peak above the bytes traced at the start.
+
+    tracemalloc sees Python's and numpy's allocations, not those that
+    SuperLU or BLAS make themselves, so a factor's size is not counted.
+    """
+    peak = types.SimpleNamespace(bytes=0)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        yield peak
+    finally:
+        peak.bytes = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

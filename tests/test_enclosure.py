@@ -797,6 +797,13 @@ class TestIndicator:
         for taus in ([[1.0], [2.0, 3.0]], ["a", "b"], [1 + 1j, 2.0]):
             with pytest.raises(InvalidParameterError, match="real numbers"):
                 IndicatorCurve(t=0.0, taus=taus, log_abs=np.zeros(2), signs=np.ones(2, dtype=int))
+        # a sign is an integer in {-1, 0, 1}, 0 marking underflow
+        wrapping = np.array([-128, 1], dtype=np.int8)  # abs(-128) wraps to -128
+        for signs in (["a", "b"], [0.5, 7], [1.0, -1.0], [True, False], [2, 1], wrapping):
+            with pytest.raises(InvalidParameterError, match="signs"):
+                IndicatorCurve(t=0.0, taus=[1.0, 2.0], log_abs=np.zeros(2), signs=signs)
+        curve = IndicatorCurve(t=0.0, taus=[1.0, 2.0, 3.0], log_abs=np.zeros(3), signs=[-1, 0, 1])
+        assert np.array_equal(curve.underflow, [False, True, False])
 
     def test_curve_refuses_unflagged_non_finite_log(self):
         # an infinite log sample is allowed only where the sign marks underflow

@@ -297,7 +297,7 @@ def interior_graph(domain, target_h, hole):
 def dissection_order(points, graph):
     """The exterior's quadtree order, with each stored entry of ``graph`` an edge."""
     graph = graph.tocoo()
-    return _quadtree(points, graph.row, graph.col)[2]
+    return _quadtree(points, [(graph.row, graph.col)])[2]
 
 
 class TestDissectionOrder:
