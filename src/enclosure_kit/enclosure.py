@@ -82,14 +82,20 @@ class Probe:
     shift: float
 
     def __post_init__(self):
+        if not isinstance(self.frame, DirectionFrame):
+            raise InvalidParameterError(f"probe frame must be a DirectionFrame, got {self.frame!r}")
         if not (isinstance(self.tau, numbers.Real) and math.isfinite(self.tau) and self.tau > 0.0):
             raise InvalidParameterError(f"probe tau must be finite, real and > 0, got {self.tau!r}")
         if not (isinstance(self.shift, numbers.Real) and math.isfinite(self.shift)):
             raise InvalidParameterError(f"probe shift must be finite and real, got {self.shift!r}")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Shifted probe values exp(tau*((x.th - s) + i*x.th_perp))."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """Shifted probe values exp(tau*((x.th - s) + i*x.th_perp)) at one
+        point or an (n, 2) array of them."""
+        pts = _real_array(points)
+        if pts is None or np.atleast_2d(pts).shape[1:] != (2,):
+            raise InvalidParameterError("probe points must be 2-vectors of real numbers")
+        pts = np.atleast_2d(pts).astype(float, copy=False)
         along = pts @ np.asarray(self.frame.theta)
         across = pts @ np.asarray(self.frame.theta_perp)
         return np.exp(self.tau * (along - self.shift) + 1j * self.tau * across)
@@ -108,22 +114,35 @@ def _require_resolved(mesh: Mesh, tau: float) -> None:
         )
 
 
+def _real_array(values) -> np.ndarray | None:
+    """``values`` as an array of integers or floats, not cast; None if it
+    holds anything else, such as a ragged nesting, complex numbers or
+    strings, which a float cast would parse as numbers."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        return None
+    return array if array.dtype.kind in "iuf" else None
+
+
 def _check_taus(mesh: Mesh, taus) -> np.ndarray:
     """A tau grid as a float array: 1-D, non-empty, finite, > 0, strictly
     increasing, and resolved on the mesh."""
-    try:
-        real = np.asarray(taus).dtype.kind in "iuf"
-    except ValueError:  # a ragged nesting
-        real = False
-    if not real:
+    taus = _real_array(taus)
+    if taus is None:
         raise InvalidParameterError("tau grid must be an array of real numbers")
-    taus = np.asarray(taus, dtype=float)
+    taus = taus.astype(float, copy=False)
     if taus.ndim != 1 or len(taus) == 0:
         raise InvalidParameterError("tau grid must be a non-empty 1-D array")
     if not (np.all(np.isfinite(taus)) and taus[0] > 0.0 and np.all(np.diff(taus) > 0.0)):
         raise InvalidParameterError("taus must be finite, > 0 and strictly increasing")
     _require_resolved(mesh, float(taus[-1]))
     return taus
+
+
+def _check_height(t) -> None:
+    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+        raise InvalidParameterError(f"curve height t must be finite and real, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -141,18 +160,17 @@ class IndicatorCurve:
     signs: np.ndarray
 
     def __post_init__(self):
-        try:
-            taus = np.asarray(self.taus, dtype=float)
-            log_abs = np.asarray(self.log_abs, dtype=float)
-            signs = np.asarray(self.signs)
-        except (TypeError, ValueError):  # a ragged nesting, a string or a complex
-            raise InvalidParameterError("curve arrays must hold real numbers") from None
+        _check_height(self.t)
+        taus, log_abs, signs = map(_real_array, (self.taus, self.log_abs, self.signs))
+        if taus is None or log_abs is None:
+            raise InvalidParameterError("curve arrays must hold real numbers")
+        taus, log_abs = taus.astype(float, copy=False), log_abs.astype(float, copy=False)
+        if signs is None or not (signs.dtype.kind in "iu" and np.isin(signs, (-1, 0, 1)).all()):
+            raise InvalidParameterError("curve signs must be integers in {-1, 0, 1}")
         if taus.ndim != 1 or {log_abs.shape, signs.shape} != {taus.shape}:
             raise InvalidParameterError("curve taus, log_abs and signs must be 1-D of one length")
         if not (np.all(np.isfinite(taus)) and np.all(np.diff(taus) > 0.0)):
             raise InvalidParameterError("curve taus must be finite and strictly increasing")
-        if not (signs.dtype.kind in "iu" and np.isin(signs, (-1, 0, 1)).all()):
-            raise InvalidParameterError("curve signs must be integers in {-1, 0, 1}")
         if not np.all(np.isfinite(log_abs[signs != 0])):
             raise InvalidParameterError("non-finite log sample without underflow flag")
         object.__setattr__(self, "taus", taus)
@@ -169,6 +187,7 @@ class IndicatorCurve:
     def shifted(self, new_t: float) -> "IndicatorCurve":
         """Same curve at another height via the exact identity
         log|I(tau, t1)| - log|I(tau, t2)| = 2*tau*(t2 - t1)."""
+        _check_height(new_t)
         return IndicatorCurve(
             t=new_t,
             taus=self.taus,
@@ -405,9 +424,9 @@ class IndicatorEngine:
             step = max(1, MAX_SOLVE_BLOCK // len(points))
             for at in range(0, len(cell), step):
                 source = (self.contrast @ basis[:, at : at + step]).toarray()
-                w = self._condensed.solve(-source)
-                # two separate products: contrast @ (basis + w) would round differently
-                scattered = source + self.contrast @ w
+                # the correction is -solve(source); two separate products,
+                # since contrast @ (basis + w) would round differently
+                scattered = source - self.contrast @ self._condensed.solve(source)
                 for rows, c, piece in zip(members, columns, pieces):
                     gram[c, at : at + step] = piece.conj().T @ scattered[rows]
         self._block = TaylorBlock(tau_max, centres, radii, cell, order, gram)

@@ -74,8 +74,8 @@ class DirectionFrame:
 
     @classmethod
     def from_angle(cls, angle: float) -> "DirectionFrame":
-        if not isinstance(angle, numbers.Real):
-            raise InvalidParameterError(f"direction angle must be a real number, got {angle!r}")
+        if not (isinstance(angle, numbers.Real) and math.isfinite(angle)):
+            raise InvalidParameterError(f"direction angle must be finite and real, got {angle!r}")
         return cls((math.cos(angle), math.sin(angle)))
 
 

@@ -315,8 +315,8 @@ def bounds_mM(scene: MaterialScene) -> tuple[float, float]:
 
 def _sqrt_mc(m: float, c_theta: float) -> float:
     """sqrt(m*C), taken as sqrt(m)*sqrt(C) so that m*C cannot overflow."""
-    if not (m > 0.0 and c_theta > 0.0):
-        raise InvalidParameterError("m and C_theta must be > 0")
+    if not all(isinstance(x, numbers.Real) and x > 0.0 for x in (m, c_theta)):
+        raise InvalidParameterError("m and C_theta must be real numbers > 0")
     return math.sqrt(m) * math.sqrt(c_theta)
 
 

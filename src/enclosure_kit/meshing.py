@@ -57,6 +57,8 @@ class Mesh:
             raise MeshError("mesh has no triangles")
         if not (_is_index_array(bv, 1, len(v)) and len(np.unique(bv)) == len(bv)):
             raise MeshError(f"boundary_vertices must be distinct vertex indices in [0, {len(v)})")
+        if not isinstance(self.domain, get_args(Domain)):
+            raise InvalidParameterError(f"unsupported domain {self.domain!r}")
         h_max = max(np.max(_edge_length(self, k)) for k in range(3))
         object.__setattr__(self, "h_max", float(h_max))
         if np.min(self.triangle_areas()) <= 0.0:

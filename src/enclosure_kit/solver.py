@@ -12,8 +12,9 @@ the inclusion nodes only, through a factorization of the inclusion nodes'
 Schur complement.  It condenses the background exterior onto them in one
 walk over its quadtree dissection order: each quadtree part (at most
 MAX_PART_VERTICES vertices) is factored and freed in turn, each cell
-separator merges the updates from within its cell in a small dense front,
-and a last front, with nothing to eliminate, sums what is left on the halo.
+separator merges the updates from within its cell in a small dense front
+over the separators and the inclusion nodes, and a last front, with
+nothing to eliminate, sums what is left: it holds exactly the halo.
 ``DirichletSystem`` factorizes the whole interior of one coefficient field;
 with ``dtn_pairing`` and ``difference_pairing`` it is the whole-interior
 reference the tests hold the pipeline against.  Both systems factorize
@@ -79,9 +80,9 @@ def assemble(
     gives a real matrix, a complex one a complex matrix.
     """
     coeff = np.asarray(coeff)
-    coeff = coeff.astype(complex if np.iscomplexobj(coeff) else float, copy=False)
-    if coeff.shape != (len(triangles), 2, 2):
+    if coeff.dtype.kind not in "iufc" or coeff.shape != (len(triangles), 2, 2):
         raise InvalidParameterError("coefficient field does not match the triangles")
+    coeff = coeff.astype(complex if np.iscomplexobj(coeff) else float, copy=False)
     p = vertices[triangles]
     x, y = p[:, :, 0], p[:, :, 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
@@ -368,16 +369,18 @@ class CondensedSystem:
     2. In dissection order each part is one run, and so is each cell's
        separator; the runs come in post-order, deepest cell first, and
        are walked once with one stack of pending updates.
-    3. A part C, with its halo B_C (the vertices of G and H on triangles
-       that touch C), is assembled from the triangles that touch C or B_C
-       and factorized alone with B_C last (``_halo_update``); its dense
-       update -K_BC K_CC^-1 K_CB is pushed, and the factor is checked and
-       freed before the next run.  A separator pops the updates from
-       within its cell, adds K0's rows on it (kept sparse, from the
-       triangles that touch G) into a dense front, eliminates itself with
-       one Cholesky factor (``_merge``) and pushes the update on the rest
-       of the front.  What is left at the end lives on H, and a root front
-       with no separator sums it into the update on H x H (``_merge``).
+    3. The fronts number G, in dissection order, then S, in ``nodes``
+       order; they reach S only on H, whose S positions keep the order of
+       its ids.  A part C, with its halo B_C (the vertices of G and S on
+       triangles that touch C), is assembled from the triangles that touch
+       C or B_C and factorized alone with B_C last (``_halo_update``); its
+       dense update -K_BC K_CC^-1 K_CB is pushed, and the factor is
+       checked and freed before the next run.  A separator pops the
+       updates from within its cell, adds K0's rows on it (kept sparse,
+       from the triangles that touch G) into a dense front, eliminates
+       itself with one Cholesky factor (``_merge``) and pushes the update
+       on the rest of the front.  A root front with no separator sums what
+       is left (``_merge``): it holds exactly H, at S positions past G.
 
     With one part there is no cell to merge, and the update is the
     trailing block of one factor of K0 on E and H, less K0_HH.  The complex
@@ -393,10 +396,6 @@ class CondensedSystem:
         local = np.full(mesh.num_vertices, -1, dtype=np.int32)
         local[exterior] = np.arange(len(exterior))
         corners = local[triangles]
-        # any two vertices of a triangle share an edge
-        near_e = np.zeros(mesh.num_vertices, dtype=bool)
-        near_e[triangles[np.any(corners >= 0, axis=1)]] = True
-        halo = np.flatnonzero(near_e[nodes])
         # the triangles' sides, one corner slot at a time
         sides = ((corners[:, k], corners[:, k - 1]) for k in range(3))
         key, level, order = _quadtree(mesh.vertices[exterior], sides)
@@ -410,9 +409,9 @@ class CondensedSystem:
         cell = np.where(on_g, key | ((1 << level) - 1), part)
         starts = np.flatnonzero(np.diff(cell, prepend=-1) | np.diff(level * on_g, prepend=-1))
         del cell
-        # the vertices of the fronts, G and then H
+        # the vertices of the fronts, G and then S (reached on H alone)
         interface = exterior[on_g]
-        shared = np.concatenate([interface, nodes[halo]])
+        shared = np.concatenate([interface, nodes])
         slot = np.full(mesh.num_vertices, -1)
         slot[shared] = np.arange(len(shared))
         # which triangles touch each vertex
@@ -449,8 +448,7 @@ class CondensedSystem:
         # with G merged, what is left lives on H: the root front sums it
         front, update = _merge(k_g, merged, merged, [entry[1:] for entry in pending])
         update = np.tril(update) + np.tril(update, -1).T
-        at = halo[front - merged]
-        rows, cols = np.meshgrid(at, at, indexing="ij")
+        rows, cols = np.meshgrid(front - merged, front - merged, indexing="ij")
         self.schur = (
             block + sp.csr_matrix((update.ravel(), (rows.ravel(), cols.ravel())), shape=block.shape)
         ).tocsc()

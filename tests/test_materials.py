@@ -209,6 +209,7 @@ class TestSceneValidation:
             lambda: AxisEllipse((0.0, math.inf), 0.2, 0.1),
             lambda: Disk((math.nan, 0.0), 0.2),
             lambda: DirectionFrame((math.nan, 0.0)),
+            lambda: DirectionFrame.from_angle(math.inf),
             lambda: Probe(E1, math.inf, 0.0),
             lambda: Probe(E1, 1.0, math.nan),
             lambda: frequency_bound(1.0, 1.0, math.nan),
@@ -224,6 +225,7 @@ class TestSceneValidation:
             "ellipse-center-inf",
             "disk-center-nan",
             "direction-nan",
+            "direction-angle-inf",
             "probe-tau-inf",
             "probe-shift-nan",
             "frequency-bound-nan",

@@ -1,4 +1,5 @@
-"""Every name the library defines has a reader outside tests, and every
+"""Every name the library defines has a reader outside tests, every
+constant it sets is read and every name it imports is used, and every
 error it raises is typed.
 
 A function or class counts as used when ``src/enclosure_kit`` or
@@ -13,9 +14,10 @@ code can work out should be a property.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from enclosure_kit import enclosure, materials, meshing
+from enclosure_kit import enclosure, materials, meshing, solver
 from enclosure_kit.errors import InvalidParameterError
 from enclosure_kit.geometry import ConvexPolygon, DirectionFrame, Disk, Rectangle, UnitDisk
 
@@ -56,6 +58,56 @@ def test_every_library_name_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert defined - used == set(ALLOWED)
+
+
+def test_every_library_constant_is_read():
+    """A module-level UPPER_CASE constant is read somewhere in the library
+    or the benchmarks, not only assigned."""
+    library = parsed(LIBRARY)
+    constants = {
+        target.id
+        for tree in library
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    read = set()
+    for tree in library + parsed(ROOT / "benchmarks"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert constants
+    assert constants - read == set()
+
+
+def imported_names(tree):
+    """The names a module's imports bind, but those of __future__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def test_every_library_import_is_used():
+    """Each name a library module imports is used in that module, in code,
+    in an annotation or, for a re-export, in its __all__."""
+    unused = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}: {name}" for name in sorted(imported_names(tree) - used)]
+    assert unused == []
 
 
 def is_dataclass(node):
@@ -146,6 +198,19 @@ def test_every_raise_is_typed():
             8,
             ["a"] * 9,
         ),
+        lambda: materials.similarity_check(materials.MaterialScene(1.0, 1.0, 1.0), "1", 1.0),
+        lambda: enclosure.IndicatorCurve("0", [1.0], [0.0], [1]),
+        lambda: enclosure.IndicatorCurve(0.0, [1.0], [0.0], [1]).shifted("1"),
+        lambda: solver.assemble(np.eye(3, 2), np.array([[0, 1, 2]]), "x"),
+        lambda: enclosure.Probe(DirectionFrame((1.0, 0.0)), 1.0, 0.0).evaluate("ab"),
+        lambda: enclosure.Probe(DirectionFrame((1.0, 0.0)), 1.0, 0.0).evaluate(np.zeros((2, 3))),
+        lambda: enclosure.Probe("f", 1.0, 0.0),
+        lambda: meshing.Mesh(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            np.array([[0, 1, 2]]),
+            np.arange(3),
+            domain="dom",
+        ),
     ],
     ids=[
         "generate_mesh-target_h",
@@ -169,6 +234,14 @@ def test_every_raise_is_typed():
         "Inclusion-alpha",
         "Rectangle-bound",
         "sweep-taus",
+        "similarity_check",
+        "IndicatorCurve-t",
+        "IndicatorCurve.shifted",
+        "assemble-coeff",
+        "Probe.evaluate-string",
+        "Probe.evaluate-shape",
+        "Probe-frame",
+        "Mesh-domain",
     ],
 )
 def test_mistyped_argument_is_an_invalid_parameter(call):
