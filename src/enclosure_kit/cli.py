@@ -40,6 +40,7 @@ from .geometry import (
     Domain,
     Rectangle,
     UnitDisk,
+    is_real,
     require_margin,
     uniform_directions,
 )
@@ -81,7 +82,7 @@ def _require_keys(d: dict, path: str, required: tuple, optional: tuple) -> None:
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_real(value):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge integers
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")

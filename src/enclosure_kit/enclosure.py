@@ -17,20 +17,20 @@ direction; intersecting the fitted half planes encloses the convex hull.
 The probe is an entire function of z = x1 + i*x2: with zeta = theta_1 +
 i*theta_2 it is exp(tau*(conj(zeta)*z - s)).  On the inclusion nodes every
 probe up to a given tau_max is therefore, to rounding, a combination of a
-few dozen Taylor monomials about the centres of a few cells, and J is one
-small quadratic form in the probe's Taylor coefficients (``TaylorBlock``):
-one solve per tau_max serves every direction.
+few dozen polynomials in z, orthonormal on the nodes, and J is one small
+quadratic form in the probe's coefficients (``ProbeBlock``): one solve per
+tau_max serves every direction.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.linalg as sla
+import scipy.linalg.blas as blas
 
 from . import geometry, materials, solver
 from .errors import (
@@ -39,8 +39,9 @@ from .errors import (
     InvalidParameterError,
     ProbeResolutionError,
     ResourceLimitError,
+    SolveError,
 )
-from .geometry import ConvexPolygon, DirectionFrame
+from .geometry import ConvexPolygon, DirectionFrame, is_real
 from .materials import MaterialScene, ReducedScene
 from .meshing import Mesh
 from .solver import CondensedSystem, assemble
@@ -51,22 +52,20 @@ UNDERFLOW_FLOOR = 1e-300
 # fewest samples in the upper half of the tau window that the fit accepts
 MIN_FIT_SAMPLES = 4
 # largest array of the probe phase: 8M complex entries are 128 MB, and a
-# solve holds a few of them at once.  The Taylor block's G, columns squared,
+# solve holds a few of them at once.  The probe block's G, columns squared,
 # and a sweep's curve samples, directions x taus, must fit; the block's
-# columns are solved, and the probes' coefficients formed, in pieces within it
+# columns are solved, and the probes' values formed, in pieces within it
 MAX_SOLVE_BLOCK = 8_000_000
 
-# largest tau_max * (r - d) of a Taylor cell: r - d is how far the disk of
-# radius r about the cell's centre c leaves the hull of all the nodes, d
-# the signed distance from c to the hull's boundary.  The probe's terms
-# about c reach exp(tau*(c.theta + r)) while J scales as exp(2*tau*h), h
-# the hull's support, so J loses about exp(2*tau_max*(r - d)) times the
-# rounding.  Against the per-direction solve at the gate, 32 directions,
-# h = 0.02: 2.0e-14 at 3.0, 1.7e-13 at 4.3, 4.9e-13 at 4.9, 1.6e-11 at 7.8
-TAYLOR_EXCESS_LIMIT = 3.0
-# a cell's Taylor order N is the smallest with
-# (tau_max r)^N / N! <= TAYLOR_TAIL * exp(-tau_max r)
-TAYLOR_TAIL = 1e-18
+# the probe basis is sized by probes at tau_max in this many directions
+BASIS_DIRECTIONS = 8
+# relative residual of a probe's fit by the probe basis.  The basis grows
+# until the sampled probes reach it on all the nodes; a few degrees further
+# they plateau at 4e-16 to 2e-15.  A probe's fit on the pivoted rows raises
+# SolveError past 10 times it: on the reference disk, the r 0.5 disk and a
+# triangle, h = 0.04 to 0.005, 16 directions up to the gate, the worst fit
+# read 1.39 times it
+BASIS_RESIDUAL = 1e-14
 
 NO_INCLUSION_FLAG = "no-inclusion"
 NO_SIGNAL_FLAG = "no-signal"
@@ -84,9 +83,9 @@ class Probe:
     def __post_init__(self):
         if not isinstance(self.frame, DirectionFrame):
             raise InvalidParameterError(f"probe frame must be a DirectionFrame, got {self.frame!r}")
-        if not (isinstance(self.tau, numbers.Real) and math.isfinite(self.tau) and self.tau > 0.0):
+        if not (is_real(self.tau) and math.isfinite(self.tau) and self.tau > 0.0):
             raise InvalidParameterError(f"probe tau must be finite, real and > 0, got {self.tau!r}")
-        if not (isinstance(self.shift, numbers.Real) and math.isfinite(self.shift)):
+        if not (is_real(self.shift) and math.isfinite(self.shift)):
             raise InvalidParameterError(f"probe shift must be finite and real, got {self.shift!r}")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -141,7 +140,7 @@ def _check_taus(mesh: Mesh, taus) -> np.ndarray:
 
 
 def _check_height(t) -> None:
-    if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+    if not (is_real(t) and math.isfinite(t)):
         raise InvalidParameterError(f"curve height t must be finite and real, got {t!r}")
 
 
@@ -204,114 +203,82 @@ class SupportEstimate:
     fit_residual: float
 
 
-def _hull(points: np.ndarray) -> np.ndarray:
-    """Corners of the convex hull of ``points``, counter-clockwise (Andrew's
-    monotone chain).  Not scipy.spatial: importing it costs about 7 MiB of
-    resident memory."""
-    # a point strictly inside the polygon of the extremes in 8 directions
-    # is no corner; dropping those first leaves the loop a thin ring
-    angles = np.pi / 4 * np.arange(8)
-    picks = np.argmax(points @ np.array([np.cos(angles), np.sin(angles)]), axis=0)
-    ring = points[picks[np.r_[True, picks[1:] != picks[:-1]]]]
-    edge = np.roll(ring, -1, axis=0) - ring
-    rel = points[:, None, :] - ring
-    inside = np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] > 0.0, axis=1)
-    points = points[~inside]
-    ordered = points[np.lexsort((points[:, 1], points[:, 0]))].tolist()
-    corners = []
-    for run in (ordered, ordered[::-1]):
-        chain = []
-        for x, y in run:
-            while len(chain) > 1 and (
-                (chain[-1][0] - chain[-2][0]) * (y - chain[-2][1])
-                <= (chain[-1][1] - chain[-2][1]) * (x - chain[-2][0])
-            ):
-                chain.pop()
-            chain.append((x, y))
-        corners += chain[:-1]
-    return np.array(corners)
-
-
-def _depth(point: np.ndarray, corners: np.ndarray) -> float:
-    """Signed distance from ``point`` to the boundary of the convex polygon
-    with counter-clockwise ``corners``, > 0 inside."""
-    edge = np.roll(corners, -1, axis=0) - corners
-    rel = point - corners
-    along = np.clip(np.sum(rel * edge, axis=1) / np.sum(edge**2, axis=1), 0.0, 1.0)
-    distance = float(np.min(np.hypot(*(rel - along[:, None] * edge).T)))
-    inside = np.all(edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0] >= 0.0)
-    return distance if inside else -distance
-
-
-def _taylor_cells(points: np.ndarray, tau_max: float):
-    """Split ``points`` in two across the longer side of their bounding box
-    until each cell's tau_max * (r - d) is at most TAYLOR_EXCESS_LIMIT: c is
-    the middle of the cell's bounding box, r the largest distance of its
-    points from c and d the signed distance from c to the boundary of the
-    convex hull of all the points.  A round inclusion stays one cell.
-    Returns each cell's points, c and r, and each column's cell and order n
-    (``TaylorBlock``); ResourceLimitError if G, the columns squared, exceeds
-    MAX_SOLVE_BLOCK."""
-    members, centres, radii = [], [], []
-    stack = [np.arange(len(points))] if len(points) else []
-    corners = _hull(points) if len(points) else None
-    while stack:
-        rows = stack.pop()
-        at = points[rows]
-        lo, hi = at.min(axis=0), at.max(axis=0)
-        centre = 0.5 * (lo + hi)
-        radius = float(np.max(np.hypot(*(at - centre).T)))
-        if tau_max * (radius - _depth(centre, corners)) <= TAYLOR_EXCESS_LIMIT:
-            members.append(rows)
-            centres.append(centre)
-            radii.append(radius)
-            continue
-        axis = int(np.argmax(hi - lo))
-        upper = at[:, axis] >= centre[axis]
-        stack.extend([rows[~upper], rows[upper]])
-    counts = np.array([_taylor_order(tau_max * r) for r in radii], dtype=np.int64)
-    # J does not see a constant (contrast @ 1 = 0), so the probe less its
-    # value at the first centre goes through the block: the first cell has
-    # no P_0 column.  Kept, that column's rounding would stay while J falls
-    # as (tau r)^2 for small tau.
-    cell = np.repeat(np.arange(len(counts)), counts)[1:]
-    order = (np.arange(len(cell) + 1) - np.repeat(np.cumsum(counts) - counts, counts))[1:]
-    if len(cell) ** 2 > MAX_SOLVE_BLOCK:
-        raise ResourceLimitError(
-            f"the Taylor block's {len(cell)} columns squared exceed the budget of "
-            f"{MAX_SOLVE_BLOCK} entries; lower tau_max"
-        )
-    return members, np.reshape(centres, (-1, 2)), np.array(radii), cell, order
-
-
-def _taylor_order(x: float) -> int:
-    """Smallest N with x^N / N! <= TAYLOR_TAIL * exp(-x), x >= 0, capped at
-    the first N whose N - 1 columns squared exceed MAX_SOLVE_BLOCK, which
-    the block's budget refuses: x^N / N! may overflow and never fall."""
-    cap = math.isqrt(MAX_SOLVE_BLOCK) + 1
-    n, term = 1, x
-    while term > TAYLOR_TAIL * math.exp(-x) and n <= cap:
+def _probe_basis(points: np.ndarray, tau_max: float) -> np.ndarray:
+    """Rows q_0 ... q_N, orthonormal on ``points`` (Vandermonde with
+    Arnoldi): q_0 = 1/sqrt(|S|), and q_(k+1) is w q_k orthogonalized twice
+    against q_0 ... q_k, w = (z - c)/R for c the middle of the points'
+    bounding box and R their largest distance from c.  N is the smallest
+    degree at which probes at ``tau_max`` in BASIS_DIRECTIONS directions
+    leave a relative residual of at most BASIS_RESIDUAL on their projection,
+    or |S| - 1, where the basis is complete.  ResourceLimitError if G, N
+    squared, would exceed MAX_SOLVE_BLOCK."""
+    if not len(points):
+        return np.zeros((1, 0), dtype=complex)
+    offset = points - 0.5 * (points.min(axis=0) + points.max(axis=0))
+    z = offset[:, 0] + 1j * offset[:, 1]
+    radius = float(np.max(np.abs(z)))
+    w = z / (radius if radius > 0.0 else 1.0)
+    # the sampled probes, each scaled to 1 at its largest, and what the
+    # basis leaves of them: first their mean, their part along q_0
+    zeta_bar = np.exp(-2j * np.pi * np.arange(BASIS_DIRECTIONS) / BASIS_DIRECTIONS)
+    exponent = tau_max * radius * np.outer(zeta_bar, w)
+    residual = np.exp(exponent - exponent.real.max(axis=1, keepdims=True))
+    bound = BASIS_RESIDUAL * np.linalg.norm(residual, axis=1)
+    q = np.empty((16, len(z)), dtype=complex)
+    q[0] = 1.0 / math.sqrt(len(z))
+    residual -= residual.mean(axis=1, keepdims=True)
+    n = 0
+    while n + 1 < len(z) and np.any(np.linalg.norm(residual, axis=1) > bound):
         n += 1
-        term *= x / n
-    return n
+        if n * n > MAX_SOLVE_BLOCK:
+            raise ResourceLimitError(
+                f"the probe block's G would exceed the budget of {MAX_SOLVE_BLOCK} entries: "
+                f"its basis needs {n} columns or more at tau_max = {tau_max:g}; lower tau_max"
+            )
+        if n == len(q):
+            q = np.concatenate([q, np.empty_like(q)])
+        v = w * q[n - 1]
+        # v less its projection on the rows so far, twice.  The products go
+        # through SciPy's BLAS, as the set-up's LAPACK calls that follow:
+        # numpy's separate OpenBLAS threads were seen to slow those down
+        for _ in range(2):
+            earlier = q[:n].T
+            h = blas.zgemv(1.0, earlier, v, trans=2)
+            v = blas.zgemv(-1.0, earlier, h, 1.0, v, overwrite_y=True)
+        q[n] = v / blas.dznrm2(v)
+        residual -= np.outer(np.einsum("ij,j->i", residual, np.conj(q[n])), q[n])
+    return q[: n + 1].copy()
+
+
+def _pivoted_rows(basis: np.ndarray) -> np.ndarray:
+    """2(N+1) of the nodes (all of them if there are fewer) at which the
+    N + 1 rows of ``basis`` are well conditioned: two rounds of column-
+    pivoted QR (Q-DEIM), the second on the nodes the first left."""
+    size = len(basis)
+    if basis.shape[1] <= 2 * size:
+        return np.arange(basis.shape[1])
+    first = sla.qr(basis, mode="r", pivoting=True)[1]
+    rest = first[size:]
+    second = sla.qr(basis[:, rest], mode="r", pivoting=True)[1]
+    return np.concatenate([first[:size], rest[second[:size]]])
 
 
 @dataclass(frozen=True)
-class TaylorBlock:
+class ProbeBlock:
     """J for every probe with tau up to ``tau_max``, as a quadratic form.
 
-    Column k is P = ((z - c)/r)^n on the nodes of one cell,
-    n = ``order[k]`` and c, r the ``centres`` and ``radii`` of cell
-    ``cell[k]``, and 0 on the other nodes; the first cell has no column
-    n = 0.  ``gram`` is P^H (C P + C X) for the ``contrast`` block C and X
-    the scattering correction of -C P.
+    Q = [q_0 ... q_N] is the probe basis on the nodes (``_probe_basis``).
+    A probe u is fitted on its values at the nodes ``rows`` alone: ``fit``
+    is the pseudo-inverse of ``at_rows``, Q there, so its coefficients are
+    fit @ u(rows).  ``gram`` is Q1^H (C Q1 + C X) over Q1 = [q_1 ... q_N],
+    for the ``contrast`` block C and X the scattering correction of -C Q1;
+    q_0 is a constant, which J does not see.
     """
 
     tau_max: float
-    centres: np.ndarray
-    radii: np.ndarray
-    cell: np.ndarray
-    order: np.ndarray
+    rows: np.ndarray
+    at_rows: np.ndarray
+    fit: np.ndarray
     gram: np.ndarray
 
 
@@ -346,20 +313,20 @@ class IndicatorEngine:
     background exterior itself.  Without nodes only dA is assembled and J
     is 0.
 
-    Probes reach the nodes through one ``TaylorBlock`` per tau_max, built
-    on the first call for it (the last one is kept).  The nodes split into
-    cells whose disk about the centre c, of radius r, leaves the nodes'
-    convex hull by at most TAYLOR_EXCESS_LIMIT / tau_max, so a round
-    inclusion stays one cell.  Around c the probe is
-    exp(tau*(conj(zeta)*c - s)) times the sum of
-    (tau*conj(zeta)*r)^n / n! P_n, P_n = ((z - c)/r)^n, n < N.  One checked
-    solve of the condensed system on -contrast @ P gives the correction X
-    of every column, and G = P^H (contrast @ P + contrast @ X).  A probe's
-    J is then v^H G v, with v its Taylor coefficients: the probe is
-    evaluated at the cell centres alone, and no solve is made per
-    direction.  J depends on the direction and the taus only, not on
-    earlier calls.  Given ``tau_max``, the engine checks the block's
-    layout (``_taylor_cells``) against MAX_SOLVE_BLOCK before it
+    Probes reach the nodes through one ``ProbeBlock`` per tau_max, built
+    on the first call for it (the last one is kept).  The shifted probe is
+    exp(tau*(conj(zeta)*z - s)), an entire function of z = x1 + i*x2, so
+    on the nodes it is, to rounding, a combination of the probe basis
+    q_0 ... q_N (``_probe_basis``), polynomials in z of degree at most N
+    orthonormal on the nodes.  One checked solve of the condensed system
+    on -contrast @ Q1 gives the correction X of every column of
+    Q1 = [q_1 ... q_N], and G = Q1^H (contrast @ Q1 + contrast @ X).  A
+    probe's coefficients a come from a least-squares fit at the 2(N+1)
+    pivoted nodes of the block alone, and its J is a^H G a, so no solve is
+    made per direction; a fit whose relative residual passes 10 times
+    BASIS_RESIDUAL raises SolveError.  J depends on the direction and the
+    taus only, not on earlier calls.  Given ``tau_max``, the engine builds
+    the basis, and so checks N squared against MAX_SOLVE_BLOCK, before it
     factorizes anything.
     """
 
@@ -387,79 +354,71 @@ class IndicatorEngine:
                 "an inclusion reaches the domain boundary on this mesh; "
                 "the method needs its closure inside the domain"
             )
+        # the probe basis, and so its budget, before any factorization
+        self._basis = None
         if tau_max is not None:
-            # the Taylor block's budget, before any factorization
-            _taylor_cells(mesh.vertices[self.nodes], float(_check_taus(mesh, [tau_max])[0]))
+            tau_max = float(_check_taus(mesh, [tau_max])[0])
+            self._basis = (tau_max, _probe_basis(mesh.vertices[self.nodes], tau_max))
         self._condensed = None
         if len(self.nodes):
             k_near = solver.assemble(mesh.vertices, triangles, tensors[near_labels])
             self._condensed = CondensedSystem(mesh, self.nodes, k_near[self.nodes][:, self.nodes])
         self._block = None
 
-    def _taylor_block(self, tau_max: float) -> TaylorBlock:
-        """The Taylor block for probes up to ``tau_max``, built on first
-        use; only the last one is kept.  Its columns are solved in batches
-        of at most MAX_SOLVE_BLOCK entries; ResourceLimitError if G, the
-        columns squared, exceeds it."""
+    def _probe_block(self, tau_max: float) -> ProbeBlock:
+        """The probe block for probes up to ``tau_max``, built on first use
+        from the basis the engine keeps for it, if any; only the last one
+        is kept.  Its columns are solved in batches of at most
+        MAX_SOLVE_BLOCK entries."""
         if self._block is not None and self._block.tau_max == tau_max:
             return self._block
-        points = self.mesh.vertices[self.nodes]
-        members, centres, radii, cell, order = _taylor_cells(points, tau_max)
-        gram = np.zeros((len(cell), len(cell)), dtype=complex)
+        if self._basis is not None and self._basis[0] == tau_max:
+            basis = self._basis[1]
+        else:
+            basis = _probe_basis(self.mesh.vertices[self.nodes], tau_max)
+        self._basis = None
+        rows = _pivoted_rows(basis)
+        at_rows = basis[:, rows].T
+        gram = np.zeros((len(basis) - 1, len(basis) - 1), dtype=complex)
         if self._condensed is not None:
-            # each cell's nodes hold its own columns alone, one dense piece
-            # per cell; a cell of one node has r = 0 and only P_0 = 1
-            columns = [np.flatnonzero(cell == c) for c in range(len(members))]
-            pieces = []
-            for rows, cols, centre, radius in zip(members, columns, centres, radii):
-                offset = points[rows] - centre
-                unit = (offset[:, :1] + 1j * offset[:, 1:]) / (radius if radius > 0.0 else 1.0)
-                powers = np.ones((len(rows), np.max(order[cols], initial=0) + 1), dtype=complex)
-                powers[:, 1:] = unit
-                # u^n as a running product: numpy's u**n goes through
-                # exp(n log u) from n = 100
-                pieces.append(np.cumprod(powers, axis=1)[:, order[cols]])
-            # the pieces' rows come cell by cell; put them back in node order
-            basis = sp.block_diag(pieces, format="csr")[np.argsort(np.concatenate(members))]
-            step = max(1, MAX_SOLVE_BLOCK // len(points))
-            for at in range(0, len(cell), step):
-                source = (self.contrast @ basis[:, at : at + step]).toarray()
+            step = max(1, MAX_SOLVE_BLOCK // len(self.nodes))
+            for at in range(1, len(basis), step):
+                source = self.contrast @ basis[at : at + step].T
                 # the correction is -solve(source); two separate products,
                 # since contrast @ (basis + w) would round differently
                 scattered = source - self.contrast @ self._condensed.solve(source)
-                for rows, c, piece in zip(members, columns, pieces):
-                    gram[c, at : at + step] = piece.conj().T @ scattered[rows]
-        self._block = TaylorBlock(tau_max, centres, radii, cell, order, gram)
+                gram[:, at - 1 : at - 1 + step] = np.conj(basis[1:]) @ scattered
+        self._block = ProbeBlock(tau_max, rows, at_rows, np.linalg.pinv(at_rows), gram)
         return self._block
 
     def pairing_differences(self, frame: DirectionFrame, taus) -> np.ndarray:
         """Complex pairing differences for the shifted probes, one per tau."""
         taus = _check_taus(self.mesh, taus)
-        block = self._taylor_block(float(taus[-1]))
+        block = self._probe_block(float(taus[-1]))
         shift = self.mesh.domain.support(frame.theta)
-        # exp(tau*(x.th - s) + i*tau*x.th_perp) = exp(tau*(conj(zeta)*z - s)),
-        # z = x1 + i*x2 and zeta = th1 + i*th2: the probe at each centre c
-        # times its Taylor coefficients (tau*conj(zeta)*r)^n / n! about c
-        zeta_bar = frame.theta[0] - 1j * frame.theta[1]
-        top = np.max(block.order, initial=0)
-        # the table of coefficients is taus x cells x (N_max + 1), and it
-        # bounds the taus x columns of v: taus go in slices within budget
-        step = max(1, MAX_SOLVE_BLOCK // max(1, len(block.radii) * (top + 1)))
+        points = self.mesh.vertices[self.nodes[block.rows]]
+        # the probes' values at the rows are taus x rows: taus go in slices
+        # within budget
+        step = max(1, MAX_SOLVE_BLOCK // max(1, len(block.rows)))
         j = []
         for at in range(0, len(taus), step):
             part = taus[at : at + step]
-            at_centres = np.array(
-                [Probe(frame, float(tau), shift).evaluate(block.centres) for tau in part]
-            )
-            scaled = np.outer(part, zeta_bar * block.radii)
-            # (tau*conj(zeta)*r)^n / n! as a running product, which neither
-            # overflows nor underflows where N passes 170
-            ratios = scaled[:, :, None] / np.arange(1.0, 1 + top)
-            powers = np.cumprod(np.concatenate([np.ones_like(scaled)[:, :, None], ratios], 2), 2)
-            v = at_centres[:, block.cell] * powers[:, block.cell, block.order]
-            # the other cells' P_0 coefficients, less the first centre's value
-            v[:, block.order == 0] -= at_centres[:, :1]
-            j.append(np.einsum("tk,tk->t", np.conj(v), v @ block.gram.T))
+            values = np.array([Probe(frame, float(tau), shift).evaluate(points) for tau in part])
+            coefficients = values @ block.fit.T
+            misfit = np.linalg.norm(values - coefficients @ block.at_rows.T, axis=1)
+            scale = np.linalg.norm(values, axis=1)
+            over = np.flatnonzero(misfit > 10.0 * BASIS_RESIDUAL * scale)
+            if len(over):
+                k = over[0]
+                residual = float(misfit[k] / scale[k])
+                raise SolveError(
+                    f"the probe basis fits the probe at tau = {part[k]:g} to a relative "
+                    f"residual of {residual:.2e}, over {10.0 * BASIS_RESIDUAL:g}",
+                    residual=residual,
+                )
+            # J does not see q_0, a constant
+            a = coefficients[:, 1:]
+            j.append(np.einsum("tk,tk->t", np.conj(a), a @ block.gram.T))
         return np.concatenate(j)
 
     def curve(self, frame: DirectionFrame, taus) -> IndicatorCurve:
@@ -563,8 +522,9 @@ def sweep(
     is not an integer of at least 8 or a slab thickness ``delta`` that is not
     a real number > 0 raises InvalidParameterError, an underresolved grid
     ProbeResolutionError, and directions times taus (the curve samples held)
-    or the Taylor block's columns squared over MAX_SOLVE_BLOCK
-    ResourceLimitError, all before any factorization.
+    or the probe block's G, its basis's N columns squared, over
+    MAX_SOLVE_BLOCK ResourceLimitError, all before any factorization.  A
+    probe that the basis fits past its residual bound raises SolveError.
     """
     try:
         n_directions = operator.index(n_directions)
@@ -572,7 +532,7 @@ def sweep(
         raise InvalidParameterError(f"direction count {n_directions!r} is not an integer") from None
     if n_directions < 8:
         raise InvalidParameterError("sweep needs at least 8 directions")
-    if delta is not None and not (isinstance(delta, numbers.Real) and delta > 0.0):
+    if delta is not None and not (is_real(delta) and delta > 0.0):
         raise InvalidParameterError(f"slab thickness delta must be a real number > 0, got {delta!r}")
     taus = _check_taus(mesh, taus)
     if len(taus) < 8:

@@ -32,9 +32,15 @@ HAUSDORFF_DIRECTIONS = 4096
 Vec2 = tuple[float, float]
 
 
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number.  A bool is refused: the library's
+    numbers are quantities, and True is no radius, tau or constant."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _as_point(x) -> np.ndarray:
     try:
-        real = len(x) == 2 and all(isinstance(c, numbers.Real) for c in x)
+        real = len(x) == 2 and all(is_real(c) for c in x)
     except TypeError:  # no length: a scalar
         real = False
     if not real:
@@ -74,7 +80,7 @@ class DirectionFrame:
 
     @classmethod
     def from_angle(cls, angle: float) -> "DirectionFrame":
-        if not (isinstance(angle, numbers.Real) and math.isfinite(angle)):
+        if not (is_real(angle) and math.isfinite(angle)):
             raise InvalidParameterError(f"direction angle must be finite and real, got {angle!r}")
         return cls((math.cos(angle), math.sin(angle)))
 
@@ -101,7 +107,7 @@ class Disk:
 
     def __post_init__(self):
         _as_point(self.center)
-        if not (isinstance(self.radius, numbers.Real) and 0.0 < self.radius <= COORD_LIMIT):
+        if not (is_real(self.radius) and 0.0 < self.radius <= COORD_LIMIT):
             raise InvalidParameterError(f"disk radius must be > 0 and at most {COORD_LIMIT:g}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "radius", float(self.radius))
@@ -126,7 +132,7 @@ class AxisEllipse:
     def __post_init__(self):
         _as_point(self.center)
         semi_axes = (self.semi_a, self.semi_b)
-        if not all(isinstance(s, numbers.Real) and 0.0 < s <= COORD_LIMIT for s in semi_axes):
+        if not all(is_real(s) and 0.0 < s <= COORD_LIMIT for s in semi_axes):
             raise InvalidParameterError(
                 f"ellipse semi-axes must be > 0 and at most {COORD_LIMIT:g}"
             )
@@ -237,7 +243,7 @@ class Rectangle:
 
     def __post_init__(self):
         bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
-        if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in bounds):
+        if not all(is_real(b) and math.isfinite(b) for b in bounds):
             raise InvalidParameterError("rectangle bounds must be finite real numbers")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise InvalidParameterError("rectangle must have nonempty interior")

@@ -19,7 +19,6 @@ operation is a pure function, so concurrent use is safe.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +27,7 @@ from typing import get_args
 import numpy as np
 
 from .errors import EmptySlabError, InvalidParameterError
-from .geometry import DirectionFrame, Shape
+from .geometry import DirectionFrame, Shape, is_real
 
 # labels for the results whose hypotheses a regime report checks
 POSITIVE_JUMP_RESULT = "Thm1.1'"
@@ -46,7 +45,7 @@ class SymMat2:
     a22: float
 
     def __post_init__(self):
-        if not all(isinstance(x, numbers.Real) for x in (self.a11, self.a12, self.a22)):
+        if not all(is_real(x) for x in (self.a11, self.a12, self.a22)):
             raise InvalidParameterError(
                 f"symmetric matrix entries must be real numbers, got "
                 f"({self.a11!r}, {self.a12!r}, {self.a22!r})"
@@ -62,7 +61,7 @@ class SymMat2:
 
     @classmethod
     def iso(cls, c: float) -> "SymMat2":
-        if not isinstance(c, numbers.Real):
+        if not is_real(c):
             raise InvalidParameterError(f"isotropic value must be a real number, got {c!r}")
         return cls(float(c), 0.0, float(c))
 
@@ -140,7 +139,7 @@ class MaterialScene:
             )
         object.__setattr__(self, "inclusions", inclusions)
         constants = (self.sigma0, self.eps0, self.omega)
-        if not all(isinstance(c, numbers.Real) and math.isfinite(c) for c in constants):
+        if not all(is_real(c) and math.isfinite(c) for c in constants):
             raise InvalidParameterError("sigma0, eps0 and omega must be finite real numbers")
         if not self.eps0 > 0.0:
             raise InvalidParameterError("background permittivity eps0 must be > 0")
@@ -278,7 +277,7 @@ def check_jump(
     uniformly over material in the slab; (NEGATIVE, C) for -a; otherwise
     (NONE, None).  C is the exact infimum over the slab regions.
     """
-    if not (isinstance(delta, numbers.Real) and delta > 0.0):
+    if not (is_real(delta) and delta > 0.0):
         raise InvalidParameterError(f"slab thickness delta must be a real number > 0, got {delta!r}")
     h = scene_support(scene, frame.theta)
     # >=, not >: the inclusion attaining h stays in when h - delta rounds to h
@@ -315,7 +314,7 @@ def bounds_mM(scene: MaterialScene) -> tuple[float, float]:
 
 def _sqrt_mc(m: float, c_theta: float) -> float:
     """sqrt(m*C), taken as sqrt(m)*sqrt(C) so that m*C cannot overflow."""
-    if not all(isinstance(x, numbers.Real) and x > 0.0 for x in (m, c_theta)):
+    if not all(is_real(x) and x > 0.0 for x in (m, c_theta)):
         raise InvalidParameterError("m and C_theta must be real numbers > 0")
     return math.sqrt(m) * math.sqrt(c_theta)
 
@@ -325,7 +324,7 @@ def frequency_bound(m: float, c_theta: float, big_m: float) -> float:
 
     Returns +inf when M = 0 (no reactive contrast).
     """
-    if not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in (m, c_theta, big_m)):
+    if not all(is_real(x) and math.isfinite(x) for x in (m, c_theta, big_m)):
         raise InvalidParameterError("m, C_theta and M must be finite real numbers")
     root = _sqrt_mc(m, c_theta)
     if big_m < 0.0:
@@ -341,7 +340,7 @@ def pq_weights(sigma0: float, eps0: float, omega: float) -> tuple[float, float]:
     P = sigma0^2 / (sigma0^2 + omega^2*eps0^2) and Q its complement;
     requires all three inputs strictly positive so that P, Q lie in (0, 1).
     """
-    if not all(isinstance(x, numbers.Real) and x > 0.0 for x in (sigma0, eps0, omega)):
+    if not all(is_real(x) and x > 0.0 for x in (sigma0, eps0, omega)):
         raise InvalidParameterError("pq_weights requires real sigma0, eps0, omega > 0")
     denom = sigma0 * sigma0 + (omega * omega) * (eps0 * eps0)
     if not sys.float_info.min <= denom < math.inf:

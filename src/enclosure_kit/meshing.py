@@ -13,14 +13,13 @@ materials are sampled at triangle centroids.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import get_args
 
 import numpy as np
 
 from .errors import InvalidParameterError, MeshError, ResourceLimitError
-from .geometry import Domain, Rectangle, UnitDisk
+from .geometry import Domain, Rectangle, UnitDisk, is_real
 
 # hard ceiling on generated triangles; protects against runaway target_h
 MAX_TRIANGLES = 2_000_000
@@ -124,7 +123,7 @@ def generate_mesh(domain: Domain, target_h: float) -> Mesh:
     """
     if not isinstance(domain, get_args(Domain)):
         raise InvalidParameterError(f"unsupported domain {domain!r}")
-    if not (isinstance(target_h, numbers.Real) and target_h > 0.0):
+    if not (is_real(target_h) and target_h > 0.0):
         raise InvalidParameterError(f"target_h must be a real number > 0, got {target_h!r}")
     if target_h >= domain.diameter() / 2.0:
         raise InvalidParameterError(

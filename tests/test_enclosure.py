@@ -9,7 +9,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.spatial import ConvexHull
 
 from enclosure_kit import cli, enclosure, solver
 from enclosure_kit.enclosure import (
@@ -146,11 +145,11 @@ def disk_scene(*disks, omega=1.0):
     )
 
 
-# two disks far apart: one Taylor cell around both loses digits
+# two disks far apart: one probe basis spans the gap between them
 TWO_FAR_DISKS = disk_scene(((0.45, 0.3), 0.15, 1.0, 0.0), ((-0.5, -0.4), 0.12, 2.0, 0.0))
 BIG_DISK = disk_scene(((0.0, 0.0), 0.5, 1.0, 0.0))
 COMPLEX_DISK = disk_scene(((-0.2, 0.3), 0.25, -0.7, 0.5), omega=2.0)
-# its corners split the nodes into several Taylor cells
+# a polygon: its corners need a higher degree than a disk of its size
 TRIANGLE = MaterialScene(
     sigma0=1.0,
     eps0=1.0,
@@ -165,19 +164,11 @@ TRIANGLE = MaterialScene(
 )
 
 
-# The Taylor block's traced peak in nodes x columns complex arrays.  On the
-# reference disk at h = 0.02 (477 nodes, 33 columns) it reads 7.58, and
-# 8.58 with the correction solved for -source beside source; the bound
-# leaves 5.5% above 7.58.
-TAYLOR_PEAK_BOUND = 8.0
-
-
-def taylor_excess(points, tau_max):
-    """Each Taylor cell's r - d for ``points`` at ``tau_max``, and its points."""
-    members, centres, radii, _, _ = enclosure._taylor_cells(points, tau_max)
-    corners = enclosure._hull(points)
-    excess = np.array([r - enclosure._depth(c, corners) for c, r in zip(centres, radii)])
-    return excess, members
+# The probe block's traced peak in nodes x columns complex arrays, the
+# basis and its pivoted rows included.  On the reference disk at h = 0.02
+# (477 nodes, N = 25 columns at tau_max 16) it reads 5.31, against 7.58 for
+# the Taylor block it replaced (33 columns); the bound leaves 5.5% above 5.31.
+BLOCK_PEAK_BOUND = 5.6
 
 
 @contextlib.contextmanager
@@ -334,11 +325,12 @@ class TestIndicator:
         assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "scene, cells",
-        [(TWO_FAR_DISKS, 2), (BIG_DISK, 1), (COMPLEX_DISK, 1), (TRIANGLE, None)],
+        "scene",
+        [TWO_FAR_DISKS, BIG_DISK, COMPLEX_DISK, TRIANGLE],
         ids=["two-far-disks", "big-disk", "complex", "triangle"],
     )
-    def test_taylor_block_matches_all_vertex_formula_at_the_gate(self, fine_mesh, scene, cells):
+    def test_taylor_block_matches_all_vertex_formula_at_the_gate(self, fine_mesh, scene):
+        # the probe block (the test id predates it)
         taus = gate_taus(fine_mesh)
         reduced = reduce_scene(scene)
         engine = IndicatorEngine(reduced, fine_mesh)
@@ -347,54 +339,48 @@ class TestIndicator:
             raw = engine.pairing_differences(frame, taus)
             reference = all_vertex_reference(fine_mesh, reduced, frame, taus)
             assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
-        excess, members = taylor_excess(fine_mesh.vertices[engine.nodes], taus[-1])
-        assert np.all(taus[-1] * excess <= enclosure.TAYLOR_EXCESS_LIMIT)
-        # a round inclusion stays one cell; the triangle's corners split
-        assert len(excess) == cells if cells else len(excess) > 1
-        if scene is TWO_FAR_DISKS:
-            # no cell holds nodes of both disks
-            east = fine_mesh.vertices[engine.nodes, 0] > 0.0
-            assert all(len(set(east[rows])) == 1 for rows in members)
+        # a least-squares fit at twice as many pivoted rows as basis rows
+        block = engine._probe_block(taus[-1])
+        assert block.at_rows.shape == (len(block.rows), len(block.gram) + 1)
+        assert len(block.rows) == 2 * len(block.at_rows.T) == len(set(block.rows))
 
-    @pytest.mark.parametrize("size", [3, 40, 2000])
-    def test_hull_matches_qhull(self, size):
-        points = np.random.default_rng(size).normal(size=(size, 2))
-        corners = enclosure._hull(points)
-        expected = points[ConvexHull(points).vertices]
-        # the same corners, counter-clockwise from the same start
-        start = np.flatnonzero((expected == corners[0]).all(axis=1))[0]
-        assert np.array_equal(corners, np.roll(expected, -start, axis=0))
+    def test_probe_basis_is_orthonormal_on_the_nodes(self, fine_mesh):
+        engine = IndicatorEngine(reduce_scene(TRIANGLE), fine_mesh)
+        basis = enclosure._probe_basis(fine_mesh.vertices[engine.nodes], 16.0)
+        gram = np.conj(basis) @ basis.T
+        assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-13
+        assert np.allclose(basis[0], 1.0 / np.sqrt(len(engine.nodes)))
 
     def test_big_disk_stays_one_cell_within_budget_at_a_fine_gate(self):
         # at h = 0.005 the gate's tau_max is about 69 and this disk's
-        # tau_max * r about 35; cells split by tau_max * r would number
-        # hundreds, and their columns squared pass MAX_SOLVE_BLOCK
+        # tau_max * r about 35: one basis on all of its nodes, with N
+        # squared well within MAX_SOLVE_BLOCK
         mesh = generate_mesh(UnitDisk(), 0.005)
         inside = BIG_DISK.inclusions[0].shape.contains_mask(mesh.vertices)
-        tau_max = max_admissible_tau(mesh)
-        _, _, radii, cell, _ = enclosure._taylor_cells(mesh.vertices[inside], tau_max)
-        # the columns and the first cell's P_0
-        assert len(radii) == 1 and (len(cell) + 1) ** 2 <= enclosure.MAX_SOLVE_BLOCK
+        basis = enclosure._probe_basis(mesh.vertices[inside], max_admissible_tau(mesh))
+        assert (len(basis) - 1) ** 2 <= enclosure.MAX_SOLVE_BLOCK // 100
 
-    def test_taylor_cell_of_one_node(self, coarse_mesh, monkeypatch):
-        # a cell of one node has r = 0 and the column P_0 alone
-        cells = enclosure._taylor_cells
-
-        def first_node_apart(points, tau_max):
-            members, centres, radii, cell, order = cells(points, tau_max)
-            members = [rows[rows != 0] for rows in members] + [np.array([0])]
-            centres, radii = np.vstack([centres, points[:1]]), np.append(radii, 0.0)
-            return members, centres, radii, np.append(cell, len(members) - 1), np.append(order, 0)
-
-        monkeypatch.setattr(enclosure, "_taylor_cells", first_node_apart)
-        taus = gate_taus(coarse_mesh)
-        reduced = reduce_scene(TWO_FAR_DISKS)
+    def test_complete_basis_matches_all_vertex_formula(self, coarse_mesh):
+        # a disk of 10 nodes: the basis stops complete at degree 9, below
+        # the degree the bound asks for (12 on a disk of 14 nodes), and
+        # every node is a row of the fit
+        reduced = reduce_scene(disk_scene(((0.1, 0.05), 0.04, 1.0, 0.0)))
         engine = IndicatorEngine(reduced, coarse_mesh)
         frame = DirectionFrame.from_angle(0.7)
-        raw = engine.pairing_differences(frame, taus)
-        assert np.min(engine._taylor_block(taus[-1]).radii) == 0.0
-        reference = all_vertex_reference(coarse_mesh, reduced, frame, taus)
+        raw = engine.pairing_differences(frame, COARSE_TAUS)
+        block = engine._probe_block(COARSE_TAUS[-1])
+        assert len(engine.nodes) == 10
+        assert len(block.gram) == len(block.rows) - 1 == len(engine.nodes) - 1
+        reference = all_vertex_reference(coarse_mesh, reduced, frame, COARSE_TAUS)
         assert np.max(np.abs(raw - reference) / np.abs(reference)) <= 1e-12
+
+    def test_basis_too_small_for_a_probe_raises(self, coarse_mesh, monkeypatch):
+        basis = enclosure._probe_basis
+        monkeypatch.setattr(enclosure, "_probe_basis", lambda *args: basis(*args)[:6])
+        engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
+        with pytest.raises(SolveError, match="probe basis") as info:
+            engine.pairing_differences(E1, COARSE_TAUS)
+        assert info.value.residual > 10.0 * enclosure.BASIS_RESIDUAL
 
     def test_small_tau_keeps_full_precision(self, coarse_mesh):
         # J falls as (tau r)^2 while a probe stays near its constant part,
@@ -438,7 +424,7 @@ class TestIndicator:
         proxies = patch_factors(monkeypatch, True)
         engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
         whole = engine.pairing_differences(E1, COARSE_TAUS)
-        columns = len(engine._taylor_block(COARSE_TAUS[-1]).cell)
+        columns = len(engine._probe_block(COARSE_TAUS[-1]).gram)
         # batches of 5 columns
         monkeypatch.setattr(enclosure, "MAX_SOLVE_BLOCK", 5 * len(engine.nodes) + 4)
         engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
@@ -448,17 +434,18 @@ class TestIndicator:
         assert proxies[1].solves == math.ceil(columns / 5)
 
     def test_taylor_block_traced_peak(self, fine_mesh):
-        # the block's traced peak in nodes x columns complex arrays
+        # the probe block's traced peak, its basis included, in nodes x
+        # columns complex arrays (the test id predates the block)
         engine = IndicatorEngine(reduce_scene(centered_scene()), fine_mesh)
         with traced_peak() as peak:
-            block = engine._taylor_block(16.0)
-        assert peak.bytes <= TAYLOR_PEAK_BOUND * len(engine.nodes) * len(block.cell) * 16
+            block = engine._probe_block(16.0)
+        assert peak.bytes <= BLOCK_PEAK_BOUND * len(engine.nodes) * len(block.gram) * 16
 
     def test_probe_coefficients_are_formed_in_slices_of_taus(self, coarse_mesh, monkeypatch):
         engine = IndicatorEngine(reduce_scene(TWO_FAR_DISKS), coarse_mesh)
         taus = np.linspace(2.0, 8.0, 13)
         whole = engine.pairing_differences(E1, taus)
-        block = engine._taylor_block(taus[-1])
+        block = engine._probe_block(taus[-1])
         evaluate = Probe.evaluate
         calls = []
 
@@ -468,8 +455,7 @@ class TestIndicator:
 
         monkeypatch.setattr(Probe, "evaluate", counted)
         # slices of 5, 5 and 3 taus
-        table = len(block.radii) * (np.max(block.order) + 1)
-        monkeypatch.setattr(enclosure, "MAX_SOLVE_BLOCK", 5 * table + 4)
+        monkeypatch.setattr(enclosure, "MAX_SOLVE_BLOCK", 5 * len(block.rows) + 4)
         sliced = engine.pairing_differences(E1, taus)
         assert np.max(np.abs(sliced - whole) / np.abs(whole)) <= 1e-14
         assert calls == list(taus)
@@ -478,12 +464,12 @@ class TestIndicator:
         self, coarse_mesh, monkeypatch
     ):
         def no_factorization(*args, **kwargs):
-            raise AssertionError("factorized before the Taylor block's budget check")
+            raise AssertionError("factorized before the probe block's budget check")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
-        # directions x taus stays within the budget
-        monkeypatch.setattr(enclosure, "_taylor_order", lambda x: 5000)
-        with pytest.raises(ResourceLimitError, match="Taylor block"):
+        # directions x taus stays within the budget, N squared does not
+        monkeypatch.setattr(enclosure, "MAX_SOLVE_BLOCK", 16 * len(COARSE_TAUS))
+        with pytest.raises(ResourceLimitError, match="probe block"):
             sweep(centered_scene(), coarse_mesh, 16, COARSE_TAUS)
 
     @pytest.mark.parametrize(
@@ -500,28 +486,20 @@ class TestIndicator:
     def test_engine_checks_tau_max_before_the_taylor_layout(
         self, coarse_mesh, monkeypatch, tau_max, error
     ):
-        # a NaN or infinite tau_max never leaves the cell split, and 1e6
-        # gives x = tau_max * r past where x^N / N! overflows
+        # the probe basis is sized at tau_max: a NaN one would stop it at
+        # once, and 1e6 would grow it to the budget
         def not_reached(*args, **kwargs):
-            raise AssertionError("laid out Taylor cells for an unchecked tau_max")
+            raise AssertionError("built the probe basis for an unchecked tau_max")
 
-        monkeypatch.setattr(enclosure, "_taylor_cells", not_reached)
+        monkeypatch.setattr(enclosure, "_probe_basis", not_reached)
         with deadline(20.0), pytest.raises(error):
             IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh, tau_max=tau_max)
-
-    @pytest.mark.parametrize("x", [750.0, 1e6, math.inf])
-    def test_taylor_order_stops_past_the_budget(self, x):
-        # x^N / N! overflows from x = 710 on and never falls back; the
-        # order stops where its N - 1 columns squared pass the budget
-        with deadline(10.0):
-            order = enclosure._taylor_order(x)
-        assert (order - 1) ** 2 > enclosure.MAX_SOLVE_BLOCK
 
     def test_taylor_block_over_budget_raises_before_solving(self, coarse_mesh, monkeypatch):
         proxies = patch_factors(monkeypatch, True)
         engine = IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
         monkeypatch.setattr(enclosure, "MAX_SOLVE_BLOCK", 100)
-        with pytest.raises(ResourceLimitError, match="Taylor block"):
+        with pytest.raises(ResourceLimitError, match="probe block"):
             engine.pairing_differences(E1, COARSE_TAUS)
         assert proxies[0].solves == 0
 

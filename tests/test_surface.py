@@ -211,6 +211,23 @@ def test_every_raise_is_typed():
             np.arange(3),
             domain="dom",
         ),
+        # a bool is no number
+        lambda: enclosure.Probe(DirectionFrame((1.0, 0.0)), True, 0.0),
+        lambda: Disk((0, 0), True),
+        lambda: materials.SymMat2(True, 0.0, 1.0),
+        lambda: materials.MaterialScene(True, 1.0, 1.0),
+        lambda: materials.check_jump(
+            materials.MaterialScene(1.0, 1.0, 1.0), DirectionFrame((1.0, 0.0)), True
+        ),
+        lambda: enclosure.sweep(
+            materials.MaterialScene(1.0, 1.0, 1.0),
+            meshing.generate_mesh(UnitDisk(), 0.2),
+            8,
+            np.linspace(0.5, 1.5, 9),
+            delta=True,
+        ),
+        lambda: enclosure.IndicatorCurve(True, [1.0], [0.0], [1]),
+        lambda: DirectionFrame((True, False)),
     ],
     ids=[
         "generate_mesh-target_h",
@@ -242,6 +259,14 @@ def test_every_raise_is_typed():
         "Probe.evaluate-shape",
         "Probe-frame",
         "Mesh-domain",
+        "Probe-tau-bool",
+        "Disk-radius-bool",
+        "SymMat2-entry-bool",
+        "MaterialScene-bool",
+        "check_jump-delta-bool",
+        "sweep-delta-bool",
+        "IndicatorCurve-t-bool",
+        "DirectionFrame-entry-bool",
     ],
 )
 def test_mistyped_argument_is_an_invalid_parameter(call):
