@@ -325,12 +325,12 @@ class IndicatorEngine:
     pivoted nodes of the block alone, and its J is a^H G a, so no solve is
     made per direction; a fit whose relative residual passes 10 times
     BASIS_RESIDUAL raises SolveError.  J depends on the direction and the
-    taus only, not on earlier calls.  Given ``tau_max``, the engine builds
-    the basis, and so checks N squared against MAX_SOLVE_BLOCK, before it
-    factorizes anything.
+    taus only, not on earlier calls.  The basis, and so the check of N
+    squared against MAX_SOLVE_BLOCK, comes with the first block, after the
+    set-up: the set-up depends on the mesh and the material alone.
     """
 
-    def __init__(self, reduced: ReducedScene, mesh: Mesh, tau_max: float | None = None):
+    def __init__(self, reduced: ReducedScene, mesh: Mesh):
         self.mesh = mesh
         labels = solver.inclusion_labels(mesh, [inc.shape for inc in reduced.inclusions])
         d_a = solver.contrast_tensors(reduced)
@@ -354,11 +354,6 @@ class IndicatorEngine:
                 "an inclusion reaches the domain boundary on this mesh; "
                 "the method needs its closure inside the domain"
             )
-        # the probe basis, and so its budget, before any factorization
-        self._basis = None
-        if tau_max is not None:
-            tau_max = float(_check_taus(mesh, [tau_max])[0])
-            self._basis = (tau_max, _probe_basis(mesh.vertices[self.nodes], tau_max))
         self._condensed = None
         if len(self.nodes):
             k_near = solver.assemble(mesh.vertices, triangles, tensors[near_labels])
@@ -366,17 +361,12 @@ class IndicatorEngine:
         self._block = None
 
     def _probe_block(self, tau_max: float) -> ProbeBlock:
-        """The probe block for probes up to ``tau_max``, built on first use
-        from the basis the engine keeps for it, if any; only the last one
-        is kept.  Its columns are solved in batches of at most
-        MAX_SOLVE_BLOCK entries."""
+        """The probe block for probes up to ``tau_max``, built on first use;
+        only the last one is kept.  Its columns are solved in batches of at
+        most MAX_SOLVE_BLOCK entries."""
         if self._block is not None and self._block.tau_max == tau_max:
             return self._block
-        if self._basis is not None and self._basis[0] == tau_max:
-            basis = self._basis[1]
-        else:
-            basis = _probe_basis(self.mesh.vertices[self.nodes], tau_max)
-        self._basis = None
+        basis = _probe_basis(self.mesh.vertices[self.nodes], tau_max)
         rows = _pivoted_rows(basis)
         at_rows = basis[:, rows].T
         gram = np.zeros((len(basis) - 1, len(basis) - 1), dtype=complex)
@@ -522,9 +512,10 @@ def sweep(
     is not an integer of at least 8 or a slab thickness ``delta`` that is not
     a real number > 0 raises InvalidParameterError, an underresolved grid
     ProbeResolutionError, and directions times taus (the curve samples held)
-    or the probe block's G, its basis's N columns squared, over
-    MAX_SOLVE_BLOCK ResourceLimitError, all before any factorization.  A
-    probe that the basis fits past its residual bound raises SolveError.
+    over MAX_SOLVE_BLOCK ResourceLimitError, all before any factorization;
+    the probe block's G, N squared, over it raises ResourceLimitError on the
+    first curve, before the block's arrays exist.  A probe that the basis
+    fits past its residual bound raises SolveError.
     """
     try:
         n_directions = operator.index(n_directions)
@@ -548,7 +539,7 @@ def sweep(
         )
     frames = geometry.uniform_directions(n_directions)
     reduced = materials.reduce_scene(scene)
-    engine = IndicatorEngine(reduced, mesh, tau_max=float(taus[-1]))
+    engine = IndicatorEngine(reduced, mesh)
     results = []
     for frame in frames:
         curve = engine.curve(frame, taus)

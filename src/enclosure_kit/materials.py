@@ -81,9 +81,10 @@ class SymMat2:
 
 
 def eig_sym2(m: SymMat2) -> tuple[float, float]:
-    """Closed-form eigenvalues of a 2x2 symmetric matrix, (min, max)."""
-    mean = 0.5 * (m.a11 + m.a22)
-    radius = math.hypot(0.5 * (m.a11 - m.a22), m.a12)
+    """Closed-form eigenvalues of a 2x2 symmetric matrix, (min, max); each
+    entry is halved, exactly, first, so finite entries give a finite mean."""
+    mean = 0.5 * m.a11 + 0.5 * m.a22
+    radius = math.hypot(0.5 * m.a11 - 0.5 * m.a22, m.a12)
     return mean - radius, mean + radius
 
 
@@ -157,7 +158,8 @@ class MaterialScene:
                     f"inclusion {k}: alpha and beta must have finite entries"
                 )
             sig_min = eig_sym2(SymMat2.iso(self.sigma0) + inc.alpha)[0]
-            if sig_min < -1e-12:
+            # "not within", so that the NaN of an overflowing sum fails too
+            if not sig_min >= -1e-12:
                 raise InvalidParameterError(
                     f"inclusion {k}: sigma0*I + alpha must be non-negative "
                     f"(lowest eigenvalue {sig_min:.4g})"
@@ -168,7 +170,7 @@ class MaterialScene:
                     f"when omega = 0 (lowest eigenvalue {sig_min:.4g})"
                 )
             eps_min = eig_sym2(SymMat2.iso(self.eps0) + inc.beta)[0]
-            if eps_min <= 0.0:
+            if not eps_min > 0.0:
                 raise InvalidParameterError(
                     f"inclusion {k}: eps0*I + beta must be positive definite "
                     f"(lowest eigenvalue {eps_min:.4g})"
@@ -357,8 +359,8 @@ def similarity_check(
     """Check the scale-free similarity condition R < 2*sqrt(m*C).
 
     R is the largest operator norm, over inclusions, of
-    sigma(x)/sigma0 - eps(x)/eps0; equal relative tensors give R = 0.
-    Returns (R, rhs, holds).
+    sigma(x)/sigma0 - eps(x)/eps0; equal relative tensors give R = 0, and
+    one that overflows gives R = inf.  Returns (R, rhs, holds).
     """
     if not scene.sigma0 > 0.0:
         raise InvalidParameterError("similarity condition requires sigma0 > 0")
@@ -368,7 +370,8 @@ def similarity_check(
         rel = scene.sigma_on(k) * (1.0 / scene.sigma0) - scene.eps_on(k) * (
             1.0 / scene.eps0
         )
-        r = max(r, opnorm_sym2(rel))
+        norm = opnorm_sym2(rel)  # NaN if rel overflowed, which max would drop
+        r = max(r, norm if math.isfinite(norm) else math.inf)
     return r, rhs, r < rhs
 
 

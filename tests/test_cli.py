@@ -370,6 +370,17 @@ class TestCheckCommand:
         assert cli.main(["check", "--config", path]) == 2
         assert "no applicable" in capsys.readouterr().out
 
+    def test_overflowing_similarity_ratio_exit_two(self, tmp_path, capsys):
+        # sigma/sigma0 - eps/eps0 overflows; omega is far above omega_max
+        raw = copy.deepcopy(CHEAP_SWEEP)
+        raw["material"]["eps0"] = 1e-300
+        raw["material"]["inclusions"][0]["alpha"] = [-0.9, 0.0, -0.9]
+        raw["material"]["inclusions"][0]["beta"] = [1e10, 0.0, 1e10]
+        path = write_config(tmp_path, raw)
+        assert cli.main(["check", "--config", path]) == 2
+        out = capsys.readouterr().out
+        assert "Cor2.1" not in out and "R = inf" in out
+
     def test_single_direction_json(self, tmp_path, capsys):
         path = write_config(tmp_path, CHEAP_SWEEP)
         assert cli.main(["check", "--config", path, "--direction", "0", "--json"]) == 0

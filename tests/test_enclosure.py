@@ -460,40 +460,34 @@ class TestIndicator:
         assert np.max(np.abs(sliced - whole) / np.abs(whole)) <= 1e-14
         assert calls == list(taus)
 
-    def test_sweep_refuses_a_taylor_block_over_budget_before_factorizing(
-        self, coarse_mesh, monkeypatch
-    ):
-        def no_factorization(*args, **kwargs):
-            raise AssertionError("factorized before the probe block's budget check")
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
+    def test_sweep_refuses_a_taylor_block_over_budget(self, coarse_mesh, monkeypatch):
         # directions x taus stays within the budget, N squared does not
         monkeypatch.setattr(enclosure, "MAX_SOLVE_BLOCK", 16 * len(COARSE_TAUS))
         with pytest.raises(ResourceLimitError, match="probe block"):
             sweep(centered_scene(), coarse_mesh, 16, COARSE_TAUS)
 
-    @pytest.mark.parametrize(
-        "tau_max, error",
-        [
-            (math.nan, InvalidParameterError),
-            (math.inf, InvalidParameterError),
-            (-5.0, InvalidParameterError),
-            ("16", InvalidParameterError),
-            (1e6, ProbeResolutionError),
-        ],
-        ids=["nan", "inf", "negative", "string", "underresolved"],
-    )
-    def test_engine_checks_tau_max_before_the_taylor_layout(
-        self, coarse_mesh, monkeypatch, tau_max, error
-    ):
-        # the probe basis is sized at tau_max: a NaN one would stop it at
-        # once, and 1e6 would grow it to the budget
-        def not_reached(*args, **kwargs):
-            raise AssertionError("built the probe basis for an unchecked tau_max")
+    def test_set_up_builds_no_probe_basis(self, coarse_mesh, monkeypatch):
+        # the set-up depends on the mesh and the material alone; the basis
+        # comes with a sweep's first curve, after every factorization
+        splu, basis = scipy.sparse.linalg.splu, enclosure._probe_basis
+        calls = []
 
-        monkeypatch.setattr(enclosure, "_probe_basis", not_reached)
-        with deadline(20.0), pytest.raises(error):
-            IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh, tau_max=tau_max)
+        def recording_splu(*args, **kwargs):
+            calls.append("splu")
+            return splu(*args, **kwargs)
+
+        def recording_basis(*args, **kwargs):
+            calls.append("basis")
+            return basis(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+        monkeypatch.setattr(enclosure, "_probe_basis", recording_basis)
+        IndicatorEngine(reduce_scene(centered_scene()), coarse_mesh)
+        assert "splu" in calls and "basis" not in calls
+        calls.clear()
+        sweep(centered_scene(), coarse_mesh, 16, COARSE_TAUS)
+        first = calls.index("basis")
+        assert first > 0 and "splu" not in calls[first:]
 
     def test_taylor_block_over_budget_raises_before_solving(self, coarse_mesh, monkeypatch):
         proxies = patch_factors(monkeypatch, True)
@@ -754,12 +748,38 @@ class TestIndicator:
         assert raw_def == pytest.approx(raw_engine, rel=5e-2)
 
     @pytest.mark.parametrize(
-        "taus",
-        [[], [[2.0, 3.0]], [[1.0], [2.0, 3.0]], ["a", "b"], [1 + 1j, 2]],
-        ids=["empty", "two-dimensional", "ragged", "strings", "complex"],
+        "taus, error",
+        [
+            ([], InvalidParameterError),
+            ([[2.0, 3.0]], InvalidParameterError),
+            ([[1.0], [2.0, 3.0]], InvalidParameterError),
+            (["a", "b"], InvalidParameterError),
+            ([1 + 1j, 2], InvalidParameterError),
+            ([2.0, math.nan], InvalidParameterError),
+            ([2.0, math.inf], InvalidParameterError),
+            ([-5.0, 2.0], InvalidParameterError),
+            ([2.0, 1e6], ProbeResolutionError),
+        ],
+        ids=[
+            "empty",
+            "two-dimensional",
+            "ragged",
+            "strings",
+            "complex",
+            "nan",
+            "inf",
+            "negative",
+            "underresolved",
+        ],
     )
-    def test_curve_refuses_malformed_tau_grid(self, coarse_engine, taus):
-        with pytest.raises(InvalidParameterError):
+    def test_curve_refuses_malformed_tau_grid(self, coarse_engine, monkeypatch, taus, error):
+        # the probe basis is sized at the last tau: a NaN would stop it at
+        # once, and 1e6 would grow it to the budget
+        def not_reached(*args, **kwargs):
+            raise AssertionError("built the probe basis for an unchecked tau grid")
+
+        monkeypatch.setattr(enclosure, "_probe_basis", not_reached)
+        with deadline(20.0), pytest.raises(error):
             coarse_engine.curve(E1, taus)
 
     def test_curve_validation(self):

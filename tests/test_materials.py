@@ -89,6 +89,11 @@ class TestSymMat2:
     def test_opnorm(self):
         assert opnorm_sym2(SymMat2(0.2, 0.1, 0.2)) == pytest.approx(0.3)
 
+    def test_eig_of_entries_near_the_largest_float(self):
+        # the sum and the difference of the entries overflow, their halves not
+        assert eig_sym2(SymMat2(1e308, 0.0, 1e308)) == (1e308, 1e308)
+        assert eig_sym2(SymMat2(1e308, 0.0, -1e308)) == (-1e308, 1e308)
+
 
 class TestReduce:
     def test_zero_perturbation(self):
@@ -206,6 +211,9 @@ class TestSceneValidation:
             lambda: MaterialScene(sigma0=1.0, eps0=1.0, omega=math.nan),
             lambda: scene_with(SymMat2(math.nan, 0.0, 1.0), SymMat2.zero()),
             lambda: scene_with(SymMat2.zero(), SymMat2(math.inf, 0.0, 0.0)),
+            # finite inputs whose sigma0*I + alpha or eps0*I + beta overflows
+            lambda: scene_with(SymMat2.iso(1.5e308), SymMat2.zero(), sigma0=1.5e308),
+            lambda: scene_with(SymMat2.zero(), SymMat2.iso(1.5e308), eps0=1.5e308),
             lambda: AxisEllipse((0.0, math.inf), 0.2, 0.1),
             lambda: Disk((math.nan, 0.0), 0.2),
             lambda: DirectionFrame((math.nan, 0.0)),
@@ -222,6 +230,8 @@ class TestSceneValidation:
             "omega-nan",
             "alpha-nan",
             "beta-inf",
+            "sigma-overflows",
+            "eps-overflows",
             "ellipse-center-inf",
             "disk-center-nan",
             "direction-nan",
@@ -436,6 +446,16 @@ class TestSimilarity:
         assert rhs == pytest.approx(2e200) and holds
         assert frequency_bound(1e200, 1e200, 1.0) == pytest.approx(1e200)
 
+    def test_overflowing_relative_tensor_fails_the_condition(self):
+        # sigma/sigma0 - eps/eps0 is -inf*I, whose eigenvalues are NaN
+        scene = scene_with(SymMat2.iso(-0.9), SymMat2.iso(1e10), eps0=1e-300)
+        r, rhs, holds = similarity_check(scene, 0.1, 0.9)
+        assert r == math.inf and rhs == pytest.approx(0.6) and not holds
+        report = classify_regime(scene, E1)
+        assert report.jump is Jump.NEGATIVE
+        assert scene.omega >= report.omega_max
+        assert not report.applicable
+
     def test_requires_positive_sigma0(self):
         scene = scene_with(SymMat2.iso(0.5), SymMat2.zero(), sigma0=0.0)
         with pytest.raises(InvalidParameterError):
@@ -468,6 +488,14 @@ class TestClassifyRegime:
         assert report.jump is Jump.NEGATIVE
         assert report.similarity_lhs == pytest.approx(0.0, abs=1e-15)
         assert "Cor2.1" in report.applicable
+
+    def test_permittivity_near_the_largest_float(self):
+        # eps0*I + beta is finite, and so are m, C_theta and M
+        scene = scene_with(SymMat2.iso(-0.5), SymMat2.iso(1.5e308), eps0=1e-300, omega=1e-160)
+        report = classify_regime(scene, E1)
+        assert report.big_m == pytest.approx(1.5e308)
+        assert report.similarity_lhs == math.inf
+        assert not report.applicable
 
     def test_json_keys(self):
         scene = scene_with(SymMat2.identity(), SymMat2.zero())

@@ -1,6 +1,6 @@
 """Every name the library defines has a reader outside tests, every
-constant it sets is read and every name it imports is used, and every
-error it raises is typed.
+constant it sets is read, every defaulted parameter is passed, every name
+it imports is used, and every error it raises is typed.
 
 A function or class counts as used when ``src/enclosure_kit`` or
 ``benchmarks`` refers to it, as a plain name or as an attribute; a
@@ -35,6 +35,15 @@ ALLOWED = {
 }
 
 ALLOWED_FIELDS = {}
+
+# defaulted parameters that no call in the library or the benchmarks passes
+ALLOWED_KNOBS = {
+    "cmd_check.direction": "argparse sets it through COMMANDS",
+    "cmd_check.as_json": "argparse sets it through COMMANDS",
+    "cmd_sweep.out_dir": "argparse sets it through COMMANDS",
+    "cmd_mesh_dump.out_dir": "argparse sets it through COMMANDS",
+    "dtn_pairing.extension": "test reference: criterion 4 pairs through a random extension",
+}
 
 
 def parsed(directory):
@@ -135,6 +144,50 @@ def test_every_dataclass_field_is_read():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     assert fields - read == set(ALLOWED_FIELDS)
+
+
+def defaulted_parameters(tree):
+    """(callee name, parameter, positional index or None) per defaulted
+    parameter; a method's index leaves out self, and an __init__ is called
+    by its class's name."""
+    for cls in [None] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        body = tree.body if cls is None else cls.body
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = cls.name if cls is not None and node.name == "__init__" else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if cls is not None and positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(args.defaults)
+            for index in range(first, len(positional)):
+                yield name, positional[index].arg, index - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A parameter with a default is a knob: some call in the library or
+    the benchmarks passes it, by keyword or by position, or it should go."""
+    library = parsed(LIBRARY)
+    keywords, widest = {}, {}
+    for tree in library + parsed(ROOT / "benchmarks"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            widest[name] = max(widest.get(name, 0), len(node.args))
+    unpassed = {
+        f"{name}.{arg}"
+        for tree in library
+        for name, arg, index in defaulted_parameters(tree)
+        if arg not in keywords.get(name, ())
+        and not (index is not None and index < widest.get(name, 0))
+    }
+    assert unpassed == set(ALLOWED_KNOBS)
 
 
 def error_classes(library):
