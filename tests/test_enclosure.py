@@ -754,6 +754,7 @@ class TestIndicator:
             ([[2.0, 3.0]], InvalidParameterError),
             ([[1.0], [2.0, 3.0]], InvalidParameterError),
             (["a", "b"], InvalidParameterError),
+            ([2.0, "16"], InvalidParameterError),
             ([1 + 1j, 2], InvalidParameterError),
             ([2.0, math.nan], InvalidParameterError),
             ([2.0, math.inf], InvalidParameterError),
@@ -765,6 +766,7 @@ class TestIndicator:
             "two-dimensional",
             "ragged",
             "strings",
+            "numeric-string",
             "complex",
             "nan",
             "inf",
